@@ -10,7 +10,7 @@ frequency and across stationary points of the phase.
 from .adaptive import AdaptiveConfig, QuadResult, adaptive_integrate
 from .chebyshev import ChebGrid, cheb_coeffs, cheb_eval, cheb_nodes, diff_matrix, grid
 from .levin import Integrand, LevinLocalResult, PanelError, levin_panel, weighted_value
-from .linalg import SvdFactors, TsvdSolveReport, qr_solve_pivoted, svd, tsvd_solve
+from .linalg import SvdFactors, qr_apply, qr_factor, svd, tsvd_apply
 from .oracle import GaussRule, adaptive_gauss, gauss_rule
 from .reference import CATALOG, closed_form_value, evaluate_levin, evaluate_oracle, integrand_for
 
@@ -32,10 +32,10 @@ __all__ = [
     "levin_panel",
     "weighted_value",
     "SvdFactors",
-    "TsvdSolveReport",
-    "qr_solve_pivoted",
+    "qr_apply",
+    "qr_factor",
     "svd",
-    "tsvd_solve",
+    "tsvd_apply",
     "GaussRule",
     "adaptive_gauss",
     "gauss_rule",

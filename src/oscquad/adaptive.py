@@ -42,9 +42,6 @@ class AdaptiveConfig:
     min_width_factor
         An interval narrower than min_width_factor * max(|a|, |b|, 1) stops
         the run with status 'width_floor'.
-    threshold_policy
-        Relative truncation level for the panel solves; the threshold
-        passed down is threshold_policy times the panel matrix norm proxy.
     nudge
         Re-evaluate non-finite endpoint samples slightly inside the panel
         (integrable endpoint singularities); disable to turn such samples
@@ -56,7 +53,6 @@ class AdaptiveConfig:
     solver: str = "qr"
     max_intervals: int = 2 ** 20
     min_width_factor: float = 16.0 * linalg.EPS0
-    threshold_policy: float = linalg.EPS0
     nudge: bool = True
 
     def __post_init__(self):
@@ -68,8 +64,6 @@ class AdaptiveConfig:
             raise ValueError("max_intervals must be >= 1")
         if self.solver not in ("qr", "svd"):
             raise ValueError(f"solver must be 'qr' or 'svd', got {self.solver!r}")
-        if not self.threshold_policy > 0.0:
-            raise ValueError("threshold_policy must be > 0")
 
 
 @dataclass(frozen=True)
@@ -152,8 +146,7 @@ def adaptive_integrate(integrand: Integrand, a: float, b: float,
     grid = chebyshev.grid(config.k)
 
     def trio(a0, c0, b0):
-        return panel_trio(integrand, a0, c0, b0, grid, config.solver,
-                          config.threshold_policy, config.nudge)
+        return panel_trio(integrand, a0, c0, b0, grid, config.solver, config.nudge)
 
     return _run_worklist(trio, a, b, config.eps, config.max_intervals,
                          config.min_width_factor)

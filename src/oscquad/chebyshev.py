@@ -4,7 +4,7 @@ The collocation machinery in this package works on the k-point grid of
 Chebyshev extremal nodes (the Chebyshev-Lobatto grid, endpoints included).
 This module builds the grid, the associated spectral differentiation
 matrix, and the value<->coefficient transforms, all on the reference
-interval [-1, 1], plus the affine map to an arbitrary finite interval.
+interval [-1, 1].
 
 Grids are immutable and cached per order k; construction is idempotent, so
 concurrent first use from several threads is safe.
@@ -116,24 +116,6 @@ def cheb_eval(coeffs: np.ndarray, x: float) -> complex:
     for a in coeffs[:0:-1]:
         b1, b2 = a + 2.0 * x * b1 - b2, b1
     return coeffs[0] + x * b1 - b2
-
-
-def map_to_interval(grid: ChebGrid, a: float, b: float):
-    """Map a reference grid to [a, b].
-
-    Returns the mapped nodes and the differentiation matrix rescaled by the
-    chain-rule factor 2/(b-a).  The mapped endpoints are snapped to exactly
-    a and b.
-    """
-    if not (np.isfinite(a) and np.isfinite(b)):
-        raise ValueError("interval endpoints must be finite")
-    if a >= b:
-        raise ValueError(f"need a < b, got [{a}, {b}]")
-    half = 0.5 * (b - a)
-    nodes = a + (grid.nodes + 1.0) * half
-    nodes[0] = a
-    nodes[-1] = b
-    return nodes, grid.diff * (2.0 / (b - a))
 
 
 _GRIDS: dict[int, ChebGrid] = {}

@@ -246,9 +246,7 @@ def _write_csv(path, fieldnames, rows):
 
 
 def cmd_selftest(args) -> int:
-    if args.inject_fault:
-        selftest.inject_fault(args.inject_fault)
-    failures = selftest.run(filter=args.filter)
+    failures = selftest.run(filter=args.filter, fault=args.inject_fault)
     print("selftest:", "all checks passed" if failures == 0
           else f"{failures} check(s) FAILED")
     return 0 if failures == 0 else 1
@@ -334,7 +332,8 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("selftest", help="run the built-in invariant suite")
     p.add_argument("--filter", help="run only checks whose name contains this")
-    p.add_argument("--inject-fault", help=argparse.SUPPRESS)
+    p.add_argument("--inject-fault", choices=sorted(selftest.FAULTS),
+                   help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_selftest)
 
     args = parser.parse_args(argv)

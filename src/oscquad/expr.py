@@ -228,37 +228,6 @@ def _lookup(name: str, params):
     raise EvalError(f"unbound parameter {name!r}")
 
 
-def evaluate(expr, x: float, params=None) -> float:
-    """Evaluate the expression at a scalar x with the given parameter bindings."""
-    with np.errstate(all="ignore"):
-        return float(_eval_node(expr, np.float64(x), params))
-
-
-def _eval_node(node, x, params):
-    if isinstance(node, Num):
-        return np.float64(node.value)
-    if isinstance(node, Var):
-        if node.name == "x":
-            return x
-        return np.float64(_lookup(node.name, params))
-    if isinstance(node, Neg):
-        return -_eval_node(node.operand, x, params)
-    if isinstance(node, BinOp):
-        lhs = _eval_node(node.left, x, params)
-        rhs = _eval_node(node.right, x, params)
-        if node.op == "+":
-            return lhs + rhs
-        if node.op == "-":
-            return lhs - rhs
-        if node.op == "*":
-            return lhs * rhs
-        if node.op == "/":
-            return lhs / rhs
-        return np.power(lhs, rhs)
-    fn, _arity = FUNCTIONS[node.name]
-    return fn(*(_eval_node(arg, x, params) for arg in node.args))
-
-
 def compile_fn(expr, params=None):
     """Compile an expression into a vectorized callable ndarray -> ndarray.
 

@@ -37,9 +37,9 @@ from . import chebyshev, linalg
 
 KERNELS = ("exp", "cos", "sin")
 
-# Inward shift, as a fraction of the panel width, used to re-evaluate an
-# endpoint whose sample came back non-finite (integrable endpoint
-# singularities such as x**-0.5 at 0).
+# Inward shift, as a fraction of the width of the sample's own panel, used
+# to re-evaluate an endpoint whose sample came back non-finite (integrable
+# endpoint singularities such as x**-0.5 at 0).
 NUDGE_FACTOR = 2.0 ** -46
 
 
@@ -68,42 +68,10 @@ class Integrand:
 
 @dataclass(frozen=True)
 class LevinLocalResult:
-    """One panel estimate with solver diagnostics."""
+    """One panel estimate with the rank its truncated solve kept."""
 
     value: complex
     rank_used: int
-    p_endpoints: tuple
-    norm_a: float
-
-
-def sample_integrand(integrand: Integrand, xs: np.ndarray, a0: float, b0: float,
-                     nudge: bool = True):
-    """Evaluate f and g at the panel nodes, repairing non-finite samples.
-
-    A node where f or g is non-finite is re-evaluated once, shifted toward
-    the panel interior by NUDGE_FACTOR*(b0-a0).  Returns (fs, gs, nevals);
-    raises PanelError if any sample is still non-finite (or immediately,
-    when nudging is disabled).
-    """
-    with np.errstate(all="ignore"):
-        fs = np.asarray(integrand.f(xs), dtype=np.complex128)
-        gs = np.asarray(integrand.g(xs), dtype=np.float64)
-    nevals = xs.shape[0]
-    bad = ~(np.isfinite(fs) & np.isfinite(gs))
-    if bad.any():
-        if not nudge:
-            raise PanelError(f"non-finite sample in [{a0}, {b0}] (nudge disabled)")
-        delta = NUDGE_FACTOR * (b0 - a0)
-        center = 0.5 * (a0 + b0)
-        idx = np.nonzero(bad)[0]
-        moved = xs[idx] + np.where(xs[idx] <= center, delta, -delta)
-        with np.errstate(all="ignore"):
-            fs[idx] = np.asarray(integrand.f(moved), dtype=np.complex128)
-            gs[idx] = np.asarray(integrand.g(moved), dtype=np.float64)
-        nevals += idx.shape[0]
-        if not (np.all(np.isfinite(fs[idx])) and np.all(np.isfinite(gs[idx]))):
-            raise PanelError(f"non-finite sample in [{a0}, {b0}] after nudge")
-    return fs, gs, nevals
 
 
 def weighted_value(p_endpoints, g_endpoints, kernel: str, conj_p_endpoints=None) -> complex:
@@ -131,12 +99,13 @@ def weighted_value(p_endpoints, g_endpoints, kernel: str, conj_p_endpoints=None)
     return complex((value - value_neg) / 2j)
 
 
-def _solve_panel(fs, gs, diff, half, solver, threshold_scale, want_conj):
+def _solve_panel(fs, gs, diff, half, solver, want_conj):
     """Collocation solve on one panel given its samples.
 
     ``diff`` is the reference differentiation matrix and ``half`` the panel
-    half-width; the mapped matrix is diff/half.  Returns
-    (p, p_conj_or_None, rank, norm_proxy).
+    half-width; the mapped matrix is diff/half.  Directions below EPS0 times
+    the matrix-norm proxy (the leading R-diagonal entry or singular value)
+    are dropped.  Returns (p, p_conj_or_None, rank).
     """
     gprime = (diff @ gs) / half
     a = (diff / half).astype(np.complex128)
@@ -145,88 +114,93 @@ def _solve_panel(fs, gs, diff, half, solver, threshold_scale, want_conj):
     try:
         if solver == "qr":
             factors = linalg.qr_factor(a)
-            norm_proxy = float(factors.rdiag[0])
-            thr = threshold_scale * norm_proxy
-            if thr <= 0.0:
-                thr = np.finfo(np.float64).tiny
-            p, rank = linalg.qr_apply(factors, fs, thr)
-            pc = linalg.qr_apply(factors, np.conj(fs), thr)[0] if want_conj else None
+            norm_proxy, apply = factors.rdiag[0], linalg.qr_apply
         elif solver == "svd":
             factors = linalg.svd(a)
-            norm_proxy = float(factors.sigma[0])
-            thr = threshold_scale * norm_proxy
-            if thr <= 0.0:
-                thr = np.finfo(np.float64).tiny
-            p, rank = linalg.tsvd_apply(factors, fs, thr)
-            pc = linalg.tsvd_apply(factors, np.conj(fs), thr)[0] if want_conj else None
+            norm_proxy, apply = factors.sigma[0], linalg.tsvd_apply
         else:
             raise ValueError(f"solver must be 'qr' or 'svd', got {solver!r}")
+        thr = linalg.EPS0 * float(norm_proxy)
+        if thr <= 0.0:
+            thr = np.finfo(np.float64).tiny
+        p, rank = apply(factors, fs, thr)
+        pc = apply(factors, np.conj(fs), thr)[0] if want_conj else None
     except linalg.LinalgError as exc:
         raise PanelError(str(exc)) from exc
-    return p, pc, rank, norm_proxy
+    return p, pc, rank
+
+
+def panel_values(integrand: Integrand, spans, grid: chebyshev.ChebGrid,
+                 solver: str, nudge: bool):
+    """Panel estimates over each (a, b) in ``spans`` from one sampling pass.
+
+    The grid is mapped onto every span at once, with each span's first and
+    last nodes set to exactly a and b, and f and g are each evaluated in a
+    single vectorized call over all of them.  A node where f or g is
+    non-finite is re-evaluated once, shifted toward the interior of its own
+    span by NUDGE_FACTOR times that span's width; a sample still non-finite
+    (or any, when nudging is disabled) raises PanelError, as does a
+    non-finite estimate.  Returns (values, ranks, nevals).
+    """
+    spans = np.asarray(spans, dtype=np.float64)
+    lo, hi = spans[:, 0], spans[:, 1]
+    half = 0.5 * (hi - lo)
+    k = grid.k
+    xs = grid.nodes * half[:, None] + (lo + half)[:, None]
+    xs[:, 0] = lo
+    xs[:, -1] = hi
+    xs = xs.ravel()
+    with np.errstate(all="ignore"):
+        fs = np.asarray(integrand.f(xs), dtype=np.complex128)
+        gs = np.asarray(integrand.g(xs), dtype=np.float64)
+    nevals = xs.shape[0]
+    bad = ~(np.isfinite(fs) & np.isfinite(gs))
+    if bad.any():
+        if not nudge:
+            raise PanelError(f"non-finite sample in {spans.tolist()} (nudge disabled)")
+        idx = np.nonzero(bad)[0]
+        span = idx // k
+        step = NUDGE_FACTOR * (hi - lo)[span]
+        moved = xs[idx] + np.where(xs[idx] <= 0.5 * (lo + hi)[span], step, -step)
+        with np.errstate(all="ignore"):
+            fs[idx] = np.asarray(integrand.f(moved), dtype=np.complex128)
+            gs[idx] = np.asarray(integrand.g(moved), dtype=np.float64)
+        nevals += idx.shape[0]
+        if not (np.all(np.isfinite(fs[idx])) and np.all(np.isfinite(gs[idx]))):
+            raise PanelError(f"non-finite sample in {spans.tolist()} after nudge")
+    want_conj = integrand.kernel != "exp" and bool(np.any(fs.imag))
+    values, ranks = [], []
+    for i in range(spans.shape[0]):
+        fseg, gseg = fs[i * k:(i + 1) * k], gs[i * k:(i + 1) * k]
+        p, pc, rank = _solve_panel(fseg, gseg, grid.diff, half[i], solver, want_conj)
+        pc_ends = (pc[0], pc[-1]) if pc is not None else None
+        value = weighted_value((p[0], p[-1]), (gseg[0], gseg[-1]),
+                               integrand.kernel, pc_ends)
+        if not np.isfinite(value):
+            raise PanelError(f"non-finite panel estimate on {spans[i].tolist()}")
+        values.append(value)
+        ranks.append(rank)
+    return values, ranks, nevals
 
 
 def levin_panel(integrand: Integrand, a0: float, b0: float,
                 grid: chebyshev.ChebGrid | None = None, solver: str = "qr",
-                threshold_scale: float = linalg.EPS0,
                 nudge: bool = True) -> LevinLocalResult:
-    """Estimate the integral of f * kernel(g) over a single panel [a0, b0].
-
-    ``threshold_scale`` is the relative truncation level: singular
-    directions (or R-diagonal entries on the QR path) below
-    threshold_scale times the matrix-norm proxy are dropped.
-    """
+    """Estimate the integral of f * kernel(g) over a single panel [a0, b0]."""
     if not (np.isfinite(a0) and np.isfinite(b0) and a0 < b0):
         raise ValueError(f"need finite a0 < b0, got [{a0}, {b0}]")
     if grid is None:
         grid = chebyshev.grid()
-    half = 0.5 * (b0 - a0)
-    xs = (a0 + half) + half * grid.nodes
-    xs[0] = a0
-    xs[-1] = b0
-    fs, gs, _ = sample_integrand(integrand, xs, a0, b0, nudge)
-    want_conj = integrand.kernel != "exp" and bool(np.any(fs.imag))
-    p, pc, rank, norm_a = _solve_panel(fs, gs, grid.diff, half, solver,
-                                       threshold_scale, want_conj)
-    p_ends = (complex(p[0]), complex(p[-1]))
-    pc_ends = (complex(pc[0]), complex(pc[-1])) if pc is not None else None
-    value = weighted_value(p_ends, (gs[0], gs[-1]), integrand.kernel, pc_ends)
-    if not np.isfinite(value):
-        raise PanelError(f"non-finite panel estimate on [{a0}, {b0}]")
-    return LevinLocalResult(value=value, rank_used=rank, p_endpoints=p_ends,
-                            norm_a=norm_a)
+    values, ranks, _ = panel_values(integrand, ((a0, b0),), grid, solver, nudge)
+    return LevinLocalResult(value=values[0], rank_used=ranks[0])
 
 
 def panel_trio(integrand: Integrand, a0: float, c0: float, b0: float,
-               grid: chebyshev.ChebGrid, solver: str, threshold_scale: float,
-               nudge: bool):
-    """Estimates for [a0,b0], [a0,c0] and [c0,b0] with one sampling pass.
+               grid: chebyshev.ChebGrid, solver: str, nudge: bool):
+    """Estimates for [a0,b0], [a0,c0] and [c0,b0]: the adaptive driver's inner loop.
 
-    This is the adaptive driver's inner loop; f and g are each evaluated in
-    a single vectorized call over all 3k nodes.  Returns
-    (val0, val_left, val_right, nevals).
+    Returns (val0, val_left, val_right, nevals).
     """
-    k = grid.k
-    xs = np.empty(3 * k)
-    spans = ((a0, b0), (a0, c0), (c0, b0))
-    for i, (a, b) in enumerate(spans):
-        half = 0.5 * (b - a)
-        seg = xs[i * k:(i + 1) * k]
-        np.multiply(grid.nodes, half, out=seg)
-        seg += a + half
-        seg[0] = a
-        seg[-1] = b
-    fs, gs, nevals = sample_integrand(integrand, xs, a0, b0, nudge)
-    want_conj = integrand.kernel != "exp" and bool(np.any(fs.imag))
-    values = []
-    for i, (a, b) in enumerate(spans):
-        lo, hi = i * k, (i + 1) * k
-        fseg, gseg = fs[lo:hi], gs[lo:hi]
-        p, pc, _rank, _norm = _solve_panel(fseg, gseg, grid.diff, 0.5 * (b - a),
-                                           solver, threshold_scale, want_conj)
-        pc_ends = (pc[0], pc[-1]) if pc is not None else None
-        values.append(weighted_value((p[0], p[-1]), (gseg[0], gseg[-1]),
-                                     integrand.kernel, pc_ends))
-    if not all(np.isfinite(v) for v in values):
-        raise PanelError(f"non-finite panel estimate on [{a0}, {b0}]")
+    values, _, nevals = panel_values(integrand, ((a0, b0), (a0, c0), (c0, b0)),
+                                     grid, solver, nudge)
     return values[0], values[1], values[2], nevals

@@ -1,15 +1,16 @@
 """Dense complex linear algebra for the small collocation systems.
 
-Two truncated solvers for k x k complex systems are provided:
+Two truncated solvers for k x k complex systems are provided, each as a
+factorization plus an apply step that takes the truncation threshold:
 
-* ``tsvd_solve``: truncated-SVD least squares.  Singular directions with
-  sigma below a caller-supplied threshold are dropped, which yields a
+* ``svd`` + ``tsvd_apply``: truncated-SVD least squares.  Singular
+  directions with sigma below the threshold are dropped, which yields a
   bounded-norm solution with a small residual whenever the system admits
   one (even when the matrix is numerically singular).
-* ``qr_solve_pivoted``: the fast path.  Column-pivoted (rank-revealing) QR
-  with the rank decided by the magnitude of the R diagonal against the
-  same kind of threshold, followed by a minimum-norm solve restricted to
-  the retained subspace.
+* ``qr_factor`` + ``qr_apply``: the fast path.  Column-pivoted
+  (rank-revealing) QR with the rank decided by the magnitude of the R
+  diagonal against the same kind of threshold, followed by a minimum-norm
+  solve restricted to the retained subspace.
 
 The factorizations themselves come from LAPACK (via numpy/scipy); the
 truncation and retained-subspace logic lives here.  LAPACK routines are
@@ -47,15 +48,6 @@ class SvdFactors:
     v: np.ndarray
 
 
-@dataclass(frozen=True)
-class TsvdSolveReport:
-    """Diagnostics of a truncated solve."""
-
-    rank_used: int
-    threshold: float
-    solution_norm: float
-
-
 def svd(a: np.ndarray) -> SvdFactors:
     """Full SVD of a square complex matrix.
 
@@ -85,22 +77,6 @@ def tsvd_apply(factors: SvdFactors, y: np.ndarray, threshold: float):
         return np.zeros(s.shape[0], dtype=np.complex128), 0
     coef = (factors.u[:, :rank].conj().T @ y) / s[:rank]
     return factors.v[:, :rank] @ coef, rank
-
-
-def tsvd_solve(a: np.ndarray, y: np.ndarray, threshold: float):
-    """Truncated-SVD solve of A x = y.
-
-    ``threshold`` must be positive; the usual choice is eps * ||A||.
-    Returns ``(x, TsvdSolveReport)``.
-    """
-    if not threshold > 0.0:
-        raise ValueError("threshold must be > 0")
-    factors = svd(a)
-    x, rank = tsvd_apply(factors, np.asarray(y, dtype=np.complex128), threshold)
-    report = TsvdSolveReport(
-        rank_used=rank, threshold=float(threshold), solution_norm=float(np.linalg.norm(x))
-    )
-    return x, report
 
 
 @dataclass(frozen=True)
@@ -153,27 +129,3 @@ def qr_apply(factors: QrFactors, y: np.ndarray, threshold: float):
         w = solve_triangular(r2.conj().T, c[:rank, 0], lower=True)
         x[factors.perm] = q2 @ w
     return x, rank
-
-
-def qr_solve_pivoted(a: np.ndarray, y: np.ndarray, threshold: float):
-    """Rank-revealing QR solve of A x = y, same contract as tsvd_solve."""
-    if not threshold > 0.0:
-        raise ValueError("threshold must be > 0")
-    a = np.asarray(a, dtype=np.complex128)
-    if not np.all(np.isfinite(a.view(np.float64))):
-        raise LinalgError("matrix has non-finite entries")
-    factors = qr_factor(a)
-    x, rank = qr_apply(factors, np.asarray(y, dtype=np.complex128), threshold)
-    report = TsvdSolveReport(
-        rank_used=rank, threshold=float(threshold), solution_norm=float(np.linalg.norm(x))
-    )
-    return x, report
-
-
-def op_norm_estimate(a: np.ndarray) -> float:
-    """Cheap operator-norm proxy: the Frobenius norm.
-
-    Lies in [sigma_1, sqrt(k) * sigma_1] for a k x k matrix, which is all
-    the truncation thresholds need.
-    """
-    return float(np.linalg.norm(np.asarray(a)))

@@ -14,20 +14,9 @@ from . import chebyshev, linalg, oracle
 from .adaptive import AdaptiveConfig, adaptive_integrate
 from .levin import Integrand, levin_panel
 
-_FAULTS = {}
-
-
-def inject_fault(name: str):
-    """Test hook: corrupt one ingredient so the suite must fail."""
-    _FAULTS[name] = True
-
-
-def _diff_matrix():
-    d = chebyshev.diff_matrix(12)
-    if _FAULTS.get("wrong-diff-matrix"):
-        d = d.copy()
-        d[3, 4] += 1e-3
-    return d
+# Faults ``run`` can inject to show the suite fails, and the check each one
+# corrupts an ingredient of.
+FAULTS = {"wrong-diff-matrix": "chebyshev.diff_exactness"}
 
 
 def check_cheb_nodes():
@@ -38,8 +27,10 @@ def check_cheb_nodes():
         assert np.array_equal(x, -x[::-1])
 
 
-def check_cheb_diff_exactness():
-    d = _diff_matrix()
+def check_cheb_diff_exactness(fault=None):
+    d = chebyshev.diff_matrix(12)
+    if fault == "wrong-diff-matrix":
+        d[3, 4] += 1e-3
     x = chebyshev.cheb_nodes(12)
     assert np.abs(d @ np.ones(12)).max() <= 1e-13
     for m in range(1, 12):
@@ -96,7 +87,7 @@ def check_tsvd_bounds():
         noise = rng.standard_normal(k) + 1j * rng.standard_normal(k)
         noise *= eps * norm_a * np.linalg.norm(xbar) / np.linalg.norm(noise)
         y = a @ xbar - noise
-        z, _rep = linalg.tsvd_solve(a, y, eps * norm_a)
+        z, _rank = linalg.tsvd_apply(linalg.svd(a), y, eps * norm_a)
         assert np.linalg.norm(z) <= 10.0 * np.linalg.norm(xbar)
         resid = np.linalg.norm(a @ z - y)
         assert resid <= 10.0 * eps * norm_a * np.linalg.norm(xbar)
@@ -179,16 +170,24 @@ CHECKS = [
 ]
 
 
-def run(filter: str | None = None, out=None) -> int:
-    """Run the suite, print one line per check, return the failure count."""
+def run(filter: str | None = None, out=None, fault: str | None = None) -> int:
+    """Run the suite, print one line per check, return the failure count.
+
+    ``fault`` names an entry of FAULTS to inject into this run only.
+    """
     import sys
+    if fault is not None and fault not in FAULTS:
+        raise ValueError(f"unknown fault {fault!r}; known: {sorted(FAULTS)}")
     out = out or sys.stdout
     failures = 0
     for name, fn in CHECKS:
         if filter and filter not in name:
             continue
         try:
-            fn()
+            if name == FAULTS.get(fault):
+                fn(fault)
+            else:
+                fn()
         except Exception as exc:  # report and keep going
             failures += 1
             print(f"FAIL {name}: {exc}", file=out)

@@ -4,7 +4,8 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from oscquad import chebyshev
+from oscquad import Integrand, chebyshev, levin_panel
+from oscquad.levin import panel_values
 from helpers import cheb_t
 
 
@@ -133,32 +134,51 @@ def test_polynomial_reproduction_property():
         assert np.abs(got - want).max() <= 1e-12 * scale
 
 
+def sampled_nodes(spans, k):
+    """The points panel_values samples f at, one row per span."""
+    seen = []
+
+    def f(x):
+        seen.append(np.array(x))
+        return np.ones_like(x)
+
+    panel_values(Integrand(f=f, g=lambda x: 0.0 * x), spans, chebyshev.grid(k),
+                 "qr", True)
+    return seen[0].reshape(len(spans), k)
+
+
 def test_map_identity():
-    g = chebyshev.grid(12)
-    nodes, diff = chebyshev.map_to_interval(g, -1.0, 1.0)
-    np.testing.assert_allclose(nodes, g.nodes, atol=0)
-    np.testing.assert_allclose(diff, g.diff, atol=0)
+    nodes = sampled_nodes([(-1.0, 1.0)], 12)
+    np.testing.assert_array_equal(nodes[0], chebyshev.grid(12).nodes)
 
 
 def test_map_width_two():
-    g = chebyshev.grid(2)
-    nodes, diff = chebyshev.map_to_interval(g, 0.0, 2.0)
-    np.testing.assert_allclose(nodes, [0.0, 2.0], atol=0)
-    np.testing.assert_allclose(diff, g.diff, atol=0)
+    np.testing.assert_array_equal(sampled_nodes([(0.0, 2.0)], 2), [[0.0, 2.0]])
+
+
+def test_map_endpoints_exact_on_every_span():
+    spans = [(0.1, 0.7), (0.7, 1.3), (-3.3, -3.2999999), (1e-3, 1e5)]
+    nodes = sampled_nodes(spans, 12)
+    for (a, b), row in zip(spans, nodes):
+        assert row[0] == a and row[-1] == b
+        assert np.all(np.diff(row) > 0)
 
 
 def test_map_unit_interval_derivative():
-    g = chebyshev.grid(12)
-    nodes, diff = chebyshev.map_to_interval(g, 0.0, 1.0)
-    assert np.abs(diff @ nodes ** 2 - 2 * nodes).max() <= 1e-12
+    # p(x) = x solves p' + i g' p = f for g = x^2 and f = 1 + 2i x^2, so the
+    # panel value is p(1) e^{i g(1)} - p(0) e^{i g(0)} = e^i only if the
+    # differentiation matrix is rescaled by 2/(b - a) on [0, 1]
+    integrand = Integrand(f=lambda x: 1.0 + 2j * x * x, g=lambda x: x * x)
+    value = levin_panel(integrand, 0.0, 1.0).value
+    assert abs(value - np.exp(1j)) <= 1e-14
 
 
 def test_map_rejects_bad_interval():
-    g = chebyshev.grid(4)
+    integrand = Integrand(f=np.ones_like, g=np.zeros_like)
     with pytest.raises(ValueError):
-        chebyshev.map_to_interval(g, 1.0, 1.0)
+        levin_panel(integrand, 1.0, 1.0)
     with pytest.raises(ValueError):
-        chebyshev.map_to_interval(g, 0.0, np.inf)
+        levin_panel(integrand, 0.0, np.inf)
 
 
 def test_grid_cache_identity_and_concurrency():

@@ -1,10 +1,10 @@
 import csv
+import io
 import json
 import math
 import re
-import subprocess
-import sys
 
+from oscquad import selftest
 from oscquad.cli import main
 
 
@@ -162,14 +162,12 @@ def test_selftest_filter(capsys):
     assert all("chebyshev" in l for l in lines)
 
 
-def test_selftest_injected_fault_fails():
-    # run in a subprocess so the fault does not leak into this process
-    proc = subprocess.run(
-        [sys.executable, "-m", "oscquad.cli", "selftest",
-         "--inject-fault", "wrong-diff-matrix"],
-        capture_output=True, text=True)
-    assert proc.returncode == 1
-    assert "FAIL" in proc.stdout
+def test_selftest_injected_fault_fails(capsys):
+    code, out, _ = run_cli(["selftest", "--inject-fault", "wrong-diff-matrix"], capsys)
+    assert code == 1
+    assert "FAIL chebyshev.diff_exactness" in out
+    # the fault belonged to that run only
+    assert selftest.run(out=io.StringIO()) == 0
 
 
 def test_integrate_complex_f(capsys):

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from oscquad import Integrand, PanelError, adaptive_gauss, levin_panel, weighted_value
-from oscquad.levin import sample_integrand
+from oscquad import (Integrand, PanelError, adaptive_gauss, chebyshev, levin_panel,
+                     weighted_value)
+from oscquad.levin import NUDGE_FACTOR, panel_trio, panel_values
 
 
 def const_one(x):
@@ -128,8 +129,6 @@ def test_low_frequency_continuity():
     # at its spectral resolution limit (~2e-8; k=16 reaches 1e-11), so the
     # tight bound is asserted at k=16 and the k=12 run gets the resolution
     # bound.
-    from oscquad import chebyshev
-
     f = lambda x: 1.0 + x * x
     errs = {}
     for lam in (1e-8, 1e-4, 1.0):
@@ -180,10 +179,40 @@ def test_nudge_counts_extra_evaluations():
             return 1.0 / np.sqrt(x)
 
     integrand = Integrand(f=f, g=lambda x: 0.0 * x)
-    xs = np.linspace(0.0, 1.0, 12)
-    fs, gs, nevals = sample_integrand(integrand, xs, 0.0, 1.0)
+    values, _, nevals = panel_values(integrand, ((0.0, 1.0),), chebyshev.grid(12),
+                                     "qr", True)
     assert nevals == 13  # 12 samples + 1 nudged endpoint
-    assert np.all(np.isfinite(fs))
+    assert calls["n"] == 13
+    assert np.isfinite(values[0])
+
+
+def test_trio_nudges_each_sample_inside_its_own_span():
+    # the midpoint 0 is sampled twice, as the left half's right end and the
+    # right half's left end; each copy moves into its own half
+    resampled = []
+
+    def f(x):
+        if np.size(x) < 36:
+            resampled.append(np.array(x))
+        return np.sin(x) / x
+
+    integrand = Integrand(f=f, g=lambda x: 3.0 * x)
+    grid = chebyshev.grid(12)
+    _, left, right, nevals = panel_trio(integrand, -1.0, 0.0, 1.0, grid, "qr", True)
+    assert nevals == 38
+    step = NUDGE_FACTOR * 1.0  # both halves have width 1
+    assert len(resampled) == 1
+    np.testing.assert_array_equal(resampled[0], [-step, step])
+    assert left == levin_panel(integrand, -1.0, 0.0).value
+    assert right == levin_panel(integrand, 0.0, 1.0).value
+
+
+def test_nonfinite_matrix_is_panel_failure():
+    # g' = 1.7e308 overflows the collocation matrix on either solver
+    integrand = Integrand(f=const_one, g=lambda x: 1.7e308 * x)
+    for solver in ("qr", "svd"):
+        with pytest.raises(PanelError):
+            levin_panel(integrand, 0.0, 1.0, solver=solver)
 
 
 def test_interior_nan_is_panel_failure():
