@@ -12,14 +12,21 @@ Four subcommands:
 * ``selftest``: run the built-in invariant suite.
 
 Exit codes: 0 success, 1 a computation did not converge (or a self-test
-failed), 2 bad flags/expressions.  All floating-point output is rendered
-with 17 significant digits so values round-trip exactly.
+failed), 2 bad input.  Bad input is a flag argparse rejects (it also
+checks the catalog id and the ranges of --decades, --ranges, --count and
+--samples) or a ValueError raised while the command runs: an
+expression that does not parse, a missing catalog parameter, a swept
+parameter the integral does not take, a tolerance ``AdaptiveConfig``
+rejects.  ``main`` prints the message to stderr and returns the code
+instead of raising.  All floating-point output is rendered with 17
+significant digits so values round-trip exactly.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 import time
 
@@ -36,70 +43,93 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _parse_params(pairs):
-    params = {}
-    for pair in pairs or []:
-        name, _, value = pair.partition("=")
-        if not _ or not name:
-            raise SystemExit2(f"bad --param {pair!r}, expected name=value")
-        try:
-            params[name] = float(value)
-        except ValueError:
-            raise SystemExit2(f"bad --param value in {pair!r}")
-    return params
+def _flag_type(usage):
+    """Make a flag parser's ValueError an argparse usage error."""
+    def wrap(parse):
+        def convert(text):
+            try:
+                return parse(text)
+            except ValueError:
+                raise argparse.ArgumentTypeError(
+                    f"expected {usage}, got {text!r}") from None
+        return convert
+    return wrap
 
 
-class SystemExit2(SystemExit):
-    def __init__(self, message: str):
-        print(f"error: {message}", file=sys.stderr)
-        super().__init__(2)
+def _named_floats(text):
+    name, values = text.split("=")
+    if not name:
+        raise ValueError(text)
+    return name, [float(v) for v in values.split(",")]
 
 
-def _config_from_args(args, params) -> AdaptiveConfig:
+def _interval(text):
+    lo, hi = (float(v) for v in text.split(":"))
+    if not -math.inf < lo < hi < math.inf:
+        raise ValueError(text)
+    return lo, hi
+
+
+@_flag_type("NAME=VALUE")
+def _param(text):
+    name, (value,) = _named_floats(text)
+    return name, value
+
+
+_grid = _flag_type("NAME=V1,V2,...")(_named_floats)
+_decades = _flag_type("LO:HI with LO < HI")(_interval)
+
+
+@_flag_type("LO:HI,... with 0 < LO < HI")
+def _ranges(text):
+    ranges = [_interval(chunk) for chunk in text.split(",")]
+    if min(lo for lo, _ in ranges) <= 0.0:
+        raise ValueError(text)
+    return ranges
+
+
+@_flag_type("an integer >= 1")
+def _count(text):
+    count = int(text)
+    if count < 1:
+        raise ValueError(text)
+    return count
+
+
+def _config(args, params) -> AdaptiveConfig:
     eps = args.eps
-    if getattr(args, "eps_scale", None) == "sqrt-kappa":
-        kappa = params.get("kappa")
-        if kappa is None:
-            raise SystemExit2("--eps-scale sqrt-kappa needs --param kappa=...")
-        eps = EPS0 * float(np.sqrt(kappa))
+    if args.eps_scale == "sqrt-kappa":
+        if not params.get("kappa", 0.0) > 0.0:
+            raise ValueError("--eps-scale sqrt-kappa needs --param kappa=... > 0")
+        eps = EPS0 * float(np.sqrt(params["kappa"]))
     return AdaptiveConfig(eps=eps, k=args.k, solver=args.solver)
 
 
-def _build_expr_integrand(args, params):
-    try:
-        f_re = exprmod.compile_fn(exprmod.parse(args.f), params)
-        g_fn = exprmod.compile_fn(exprmod.parse(args.g), params)
-        f_im = (exprmod.compile_fn(exprmod.parse(args.f_imag), params)
-                if args.f_imag else None)
-    except (exprmod.ParseError, exprmod.EvalError) as exc:
-        raise SystemExit2(str(exc))
-    if f_im is None:
-        f_fn = f_re
-    else:
+def _expr_integrand(args, params) -> Integrand:
+    def compile_(text):
+        return exprmod.compile_fn(exprmod.parse(text), params)
+
+    f_fn, g_fn = compile_(args.f), compile_(args.g)
+    if args.f_imag:
+        f_re, f_im = f_fn, compile_(args.f_imag)
+
         def f_fn(x):
             return f_re(x) + 1j * f_im(x)
     return Integrand(f=f_fn, g=g_fn, kernel=args.kernel)
 
 
 def cmd_integrate(args) -> int:
-    params = _parse_params(args.param)
-    config = _config_from_args(args, params)
+    params = dict(args.param or ())
+    config = _config(args, params)
     t0 = time.perf_counter()
     if args.paper_integral:
-        try:
-            result = reference.evaluate_levin(args.paper_integral, params, config)
-        except (KeyError, ValueError) as exc:
-            raise SystemExit2(str(exc))
+        result = reference.evaluate_levin(args.paper_integral, params, config)
+    elif args.f and args.g and args.a is not None and args.b is not None:
+        result = adaptive_integrate(_expr_integrand(args, params),
+                                    args.a, args.b, config)
     else:
-        if not args.f or not args.g:
-            raise SystemExit2("either --paper-integral or both --f and --g are required")
-        if args.a is None or args.b is None:
-            raise SystemExit2("--a and --b are required with --f/--g")
-        integrand = _build_expr_integrand(args, params)
-        try:
-            result = adaptive_integrate(integrand, args.a, args.b, config)
-        except ValueError as exc:
-            raise SystemExit2(str(exc))
+        raise ValueError("either --paper-integral or all of --f, --g, --a "
+                         "and --b are required")
     seconds = time.perf_counter() - t0
     print("{"
           f"\"value_re\": {_fmt(result.value.real)}, "
@@ -112,105 +142,70 @@ def cmd_integrate(args) -> int:
     return 0 if result.status == "converged" else 1
 
 
-def _sweep_values(args):
-    lo, _, hi = args.decades.partition(":")
-    try:
-        lo = float(lo)
-        hi = float(hi)
-    except ValueError:
-        raise SystemExit2(f"bad --decades {args.decades!r}, expected LO:HI")
-    if args.count < 1 or hi <= lo:
-        raise SystemExit2("empty sweep range")
-    exponents = np.linspace(lo, hi, args.count)
-    return 10.0 ** exponents
+def _runs(args, name, values, grid=None):
+    """Evaluate the catalog integral once per (grid value, swept value).
+
+    Parameter ``name`` takes each of ``values`` in turn, inside an outer
+    loop over the optional ``grid`` pair (NAME, [values]); the rest come
+    from --param.  Yields (params, result, seconds), timing the evaluation
+    alone.
+    """
+    entry = reference.CATALOG[args.paper_integral]
+    grid_name, grid_values = grid or (None, [None])
+    for swept in (name, grid_name):
+        if swept is not None and swept not in entry.params:
+            raise ValueError(f"{entry.id} has no parameter {swept!r}; "
+                             f"it takes {', '.join(entry.params)}")
+    for grid_value in grid_values:
+        for value in values:
+            params = dict(args.param or ())
+            params[name] = float(value)
+            if grid_name is not None:
+                params[grid_name] = grid_value
+            config = _config(args, params)
+            t0 = time.perf_counter()
+            result = reference.evaluate_levin(entry.id, params, config)
+            yield params, result, time.perf_counter() - t0
 
 
 def cmd_sweep(args) -> int:
-    params = _parse_params(args.param)
-    sweep_param = args.sweep
-    values = _sweep_values(args)
-    grid_vals = [None]
-    grid_name = None
-    if args.grid_param:
-        grid_name, _, items = args.grid_param.partition("=")
-        if not items:
-            raise SystemExit2(f"bad --grid-param {args.grid_param!r}")
-        grid_vals = [float(v) for v in items.split(",")]
-    entry = reference.CATALOG.get(args.paper_integral)
-    if entry is None:
-        raise SystemExit2(f"unknown integral {args.paper_integral!r}")
+    entry = reference.CATALOG[args.paper_integral]
+    values = 10.0 ** np.linspace(*args.decades, args.count)
     rows = []
     worst_status = 0
-    for gv in grid_vals:
-        for value in values:
-            run_params = dict(params)
-            run_params[sweep_param] = float(value)
-            if grid_name is not None:
-                run_params[grid_name] = gv
-            config = _config_from_args(args, run_params)
-            try:
-                times = []
-                for _ in range(args.repeats):
-                    t0 = time.perf_counter()
-                    result = reference.evaluate_levin(args.paper_integral,
-                                                      run_params, config)
-                    times.append(time.perf_counter() - t0)
-                seconds = float(np.median(times))
-            except (KeyError, ValueError) as exc:
-                raise SystemExit2(str(exc))
-            abs_err = ""
-            if entry.has_closed_form:
-                target = reference.closed_form_value(args.paper_integral, run_params)
-                abs_err = _fmt(abs(result.value - target))
-            if result.status != "converged":
-                worst_status = 1
-            row = {name: _fmt(run_params[name]) for name in entry.params}
-            row.update({
-                "value_re": _fmt(result.value.real),
-                "value_im": _fmt(result.value.imag),
-                "abs_error_vs_closed_form": abs_err,
-                "intervals": result.intervals_used,
-                "fevals": result.fevals,
-                "seconds": _fmt(0.0 if args.no_timing else seconds),
-                "status": result.status,
-            })
-            rows.append(row)
-    fieldnames = list(entry.params) + [
-        "value_re", "value_im", "abs_error_vs_closed_form",
-        "intervals", "fevals", "seconds", "status"]
-    _write_csv(args.out, fieldnames, rows)
+    for params, result, seconds in _runs(args, args.sweep, values, args.grid_param):
+        abs_err = ""
+        if entry.has_closed_form:
+            target = reference.closed_form_value(entry.id, params)
+            abs_err = _fmt(abs(result.value - target))
+        if result.status != "converged":
+            worst_status = 1
+        row = {name: _fmt(params[name]) for name in entry.params}
+        row.update(value_re=_fmt(result.value.real),
+                   value_im=_fmt(result.value.imag),
+                   abs_error_vs_closed_form=abs_err,
+                   intervals=result.intervals_used,
+                   fevals=result.fevals,
+                   seconds=_fmt(0.0 if args.no_timing else seconds),
+                   status=result.status)
+        rows.append(row)
+    _write_csv(args.out, rows)
     return worst_status
 
 
 def cmd_compare(args) -> int:
-    params = _parse_params(args.param)
-    entry = reference.CATALOG.get(args.paper_integral)
-    if entry is None:
-        raise SystemExit2(f"unknown integral {args.paper_integral!r}")
-    ranges = []
-    for chunk in args.ranges.split(","):
-        lo, _, hi = chunk.partition(":")
-        try:
-            ranges.append((float(lo), float(hi)))
-        except ValueError:
-            raise SystemExit2(f"bad --ranges chunk {chunk!r}")
     rng = np.random.default_rng(args.seed)
     rows = []
-    for lo, hi in ranges:
+    for lo, hi in args.ranges:
         lams = 10.0 ** rng.uniform(np.log10(lo), np.log10(hi), args.samples)
         t_levin = []
         t_gauss = []
         max_diff = 0.0
-        for lam in lams:
-            run_params = dict(params)
-            run_params["lambda"] = float(lam)
-            config = _config_from_args(args, run_params)
-            t0 = time.perf_counter()
-            res_l = reference.evaluate_levin(args.paper_integral, run_params, config)
-            t_levin.append(time.perf_counter() - t0)
-            if lam <= args.max_oracle_lambda:
+        for params, res_l, seconds in _runs(args, "lambda", lams):
+            t_levin.append(seconds)
+            if params["lambda"] <= args.max_oracle_lambda:
                 t0 = time.perf_counter()
-                res_g = reference.evaluate_oracle(args.paper_integral, run_params,
+                res_g = reference.evaluate_oracle(args.paper_integral, params,
                                                   tol=args.oracle_tol)
                 t_gauss.append(time.perf_counter() - t0)
                 max_diff = max(max_diff, abs(res_l.value - res_g.value))
@@ -227,17 +222,14 @@ def cmd_compare(args) -> int:
             "ratio": _fmt(avg_g / avg_l) if avg_l > 0 else "",
             "max_abs_difference": _fmt(max_diff),
         })
-    fieldnames = ["integral", "range_lo", "range_hi", "samples",
-                  "avg_time_levin", "avg_time_gauss", "ratio",
-                  "max_abs_difference"]
-    _write_csv(args.out, fieldnames, rows)
+    _write_csv(args.out, rows)
     return 0
 
 
-def _write_csv(path, fieldnames, rows):
-    out = sys.stdout if path in (None, "-") else open(path, "w", newline="")
+def _write_csv(path, rows):
+    out = sys.stdout if path == "-" else open(path, "w", newline="")
     try:
-        writer = csv.DictWriter(out, fieldnames=fieldnames, lineterminator="\r\n")
+        writer = csv.DictWriter(out, fieldnames=list(rows[0]), lineterminator="\r\n")
         writer.writeheader()
         writer.writerows(rows)
     finally:
@@ -246,7 +238,7 @@ def _write_csv(path, fieldnames, rows):
 
 
 def cmd_selftest(args) -> int:
-    failures = selftest.run(filter=args.filter, fault=args.inject_fault)
+    failures = selftest.run(filter=args.filter)
     print("selftest:", "all checks passed" if failures == 0
           else f"{failures} check(s) FAILED")
     return 0 if failures == 0 else 1
@@ -267,7 +259,7 @@ def _add_common(p):
                    help="collocation order per panel (default 12)")
     p.add_argument("--solver", choices=("qr", "svd"), default="qr",
                    help="panel solver (default qr)")
-    p.add_argument("--param", action="append", metavar="NAME=VALUE",
+    p.add_argument("--param", action="append", type=_param, metavar="NAME=VALUE",
                    help="bind a parameter (repeatable)")
     p.add_argument("--eps-scale", choices=("sqrt-kappa",),
                    help="scale the tolerance as machine-eps * sqrt(kappa)")
@@ -275,7 +267,13 @@ def _add_common(p):
                    help="report 0 for all timing fields (reproducible output)")
 
 
+def _add_catalog_id(p, **kwargs):
+    p.add_argument("--paper-integral", metavar="ID", choices=reference.CATALOG,
+                   help="catalog integral id (I1..I9, I21, I22)", **kwargs)
+
+
 def main(argv=None) -> int:
+    """Run the CLI on ``argv`` and return the exit code."""
     parser = argparse.ArgumentParser(
         prog="oscquad",
         description="Adaptive evaluation of oscillatory integrals "
@@ -292,33 +290,30 @@ def main(argv=None) -> int:
     p.add_argument("--a", type=float, help="lower endpoint")
     p.add_argument("--b", type=float, help="upper endpoint")
     p.add_argument("--kernel", choices=("exp", "cos", "sin"), default="exp")
-    p.add_argument("--paper-integral", metavar="ID",
-                   help="catalog integral id (I1..I9, I21, I22)")
+    _add_catalog_id(p)
     _add_common(p)
     p.set_defaults(func=cmd_integrate)
 
     p = sub.add_parser("sweep", help="parameter sweep of a catalog integral to CSV")
-    p.add_argument("--paper-integral", metavar="ID", required=True)
+    _add_catalog_id(p, required=True)
     p.add_argument("--sweep", default="lambda", metavar="NAME",
                    help="parameter swept over log-spaced values (default lambda)")
-    p.add_argument("--decades", default="1:7", metavar="LO:HI",
+    p.add_argument("--decades", type=_decades, default="1:7", metavar="LO:HI",
                    help="base-10 exponent range (default 1:7)")
-    p.add_argument("--count", type=int, default=200,
+    p.add_argument("--count", type=_count, default=200,
                    help="number of sweep points (default 200)")
-    p.add_argument("--grid-param", metavar="NAME=V1,V2,...",
+    p.add_argument("--grid-param", type=_grid, metavar="NAME=V1,V2,...",
                    help="secondary parameter grid, one sweep per value")
-    p.add_argument("--repeats", type=int, default=1,
-                   help="timing repeats per point, median reported (default 1)")
     p.add_argument("--out", default="-", help="output CSV path (default stdout)")
     _add_common(p)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("compare",
                        help="compare against adaptive Gauss-Legendre, CSV summary")
-    p.add_argument("--paper-integral", metavar="ID", required=True)
-    p.add_argument("--ranges", required=True, metavar="LO:HI,LO:HI,...",
+    _add_catalog_id(p, required=True)
+    p.add_argument("--ranges", type=_ranges, required=True, metavar="LO:HI,LO:HI,...",
                    help="lambda ranges, sampled log-uniformly")
-    p.add_argument("--samples", type=int, default=20,
+    p.add_argument("--samples", type=_count, default=20,
                    help="random samples per range (default 20)")
     p.add_argument("--oracle-tol", type=float, default=1e-15,
                    help="reference integrator tolerance (default 1e-15)")
@@ -332,15 +327,16 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("selftest", help="run the built-in invariant suite")
     p.add_argument("--filter", help="run only checks whose name contains this")
-    p.add_argument("--inject-fault", choices=sorted(selftest.FAULTS),
-                   help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_selftest)
 
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         return args.func(args)
-    except SystemExit2 as exc:
+    except SystemExit as exc:  # argparse: a usage error (2) or --help (0)
         return exc.code
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

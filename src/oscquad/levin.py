@@ -28,6 +28,7 @@ opposite-sign phase.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from typing import Callable
 
@@ -99,18 +100,18 @@ def weighted_value(p_endpoints, g_endpoints, kernel: str, conj_p_endpoints=None)
     return complex((value - value_neg) / 2j)
 
 
-def _solve_panel(fs, gs, diff, half, solver, want_conj):
-    """Collocation solve on one panel given its samples.
+def _solve_panel(fs, gprime, diff, half, solver, want_conj):
+    """Collocation solve on one panel given its f samples and finite g'.
 
     ``diff`` is the reference differentiation matrix and ``half`` the panel
     half-width; the mapped matrix is diff/half.  Directions below EPS0 times
     the matrix-norm proxy (the leading R-diagonal entry or singular value)
     are dropped.  Returns (p, p_conj_or_None, rank).
     """
-    gprime = (diff @ gs) / half
     a = (diff / half).astype(np.complex128)
     k = a.shape[0]
-    a.flat[:: k + 1] += 1j * gprime
+    # a is C-contiguous, so reshape gives a view; a.flat would be slower
+    a.reshape(-1)[:: k + 1] += 1j * gprime
     try:
         if solver == "qr":
             factors = linalg.qr_factor(a)
@@ -139,7 +140,8 @@ def panel_values(integrand: Integrand, spans, grid: chebyshev.ChebGrid,
     single vectorized call over all of them.  A node where f or g is
     non-finite is re-evaluated once, shifted toward the interior of its own
     span by NUDGE_FACTOR times that span's width; a sample still non-finite
-    (or any, when nudging is disabled) raises PanelError, as does a
+    (or any, when nudging is disabled) raises PanelError, as do a g' that
+    overflows (before any span is factored, whatever the solver) and a
     non-finite estimate.  Returns (values, ranks, nevals).
     """
     spans = np.asarray(spans, dtype=np.float64)
@@ -150,33 +152,41 @@ def panel_values(integrand: Integrand, spans, grid: chebyshev.ChebGrid,
     xs[:, 0] = lo
     xs[:, -1] = hi
     xs = xs.ravel()
+    # f, g and g' may overflow or be undefined at a node; every non-finite
+    # result is caught below, so numpy's warnings are silenced once for all.
     with np.errstate(all="ignore"):
         fs = np.asarray(integrand.f(xs), dtype=np.complex128)
         gs = np.asarray(integrand.g(xs), dtype=np.float64)
-    nevals = xs.shape[0]
-    bad = ~(np.isfinite(fs) & np.isfinite(gs))
-    if bad.any():
-        if not nudge:
-            raise PanelError(f"non-finite sample in {spans.tolist()} (nudge disabled)")
-        idx = np.nonzero(bad)[0]
-        span = idx // k
-        step = NUDGE_FACTOR * (hi - lo)[span]
-        moved = xs[idx] + np.where(xs[idx] <= 0.5 * (lo + hi)[span], step, -step)
-        with np.errstate(all="ignore"):
+        nevals = xs.shape[0]
+        bad = ~(np.isfinite(fs) & np.isfinite(gs))
+        if bad.any():
+            if not nudge:
+                raise PanelError(f"non-finite sample in {spans.tolist()} (nudge disabled)")
+            idx = np.nonzero(bad)[0]
+            span = idx // k
+            step = NUDGE_FACTOR * (hi - lo)[span]
+            moved = xs[idx] + np.where(xs[idx] <= 0.5 * (lo + hi)[span], step, -step)
             fs[idx] = np.asarray(integrand.f(moved), dtype=np.complex128)
             gs[idx] = np.asarray(integrand.g(moved), dtype=np.float64)
-        nevals += idx.shape[0]
-        if not (np.all(np.isfinite(fs[idx])) and np.all(np.isfinite(gs[idx]))):
-            raise PanelError(f"non-finite sample in {spans.tolist()} after nudge")
+            nevals += idx.shape[0]
+            if not (np.all(np.isfinite(fs[idx])) and np.all(np.isfinite(gs[idx]))):
+                raise PanelError(f"non-finite sample in {spans.tolist()} after nudge")
+        gs = gs.reshape(-1, k)
+        gprime = np.empty_like(gs)
+        for i, h in enumerate(half):
+            gprime[i] = (grid.diff @ gs[i]) / h
+    if not np.isfinite(gprime).all():
+        raise PanelError(f"non-finite g' in {spans.tolist()}: "
+                         "the collocation matrix overflows")
     want_conj = integrand.kernel != "exp" and bool(np.any(fs.imag))
     values, ranks = [], []
     for i in range(spans.shape[0]):
-        fseg, gseg = fs[i * k:(i + 1) * k], gs[i * k:(i + 1) * k]
-        p, pc, rank = _solve_panel(fseg, gseg, grid.diff, half[i], solver, want_conj)
+        p, pc, rank = _solve_panel(fs[i * k:(i + 1) * k], gprime[i], grid.diff,
+                                   half[i], solver, want_conj)
         pc_ends = (pc[0], pc[-1]) if pc is not None else None
-        value = weighted_value((p[0], p[-1]), (gseg[0], gseg[-1]),
+        value = weighted_value((p[0], p[-1]), (gs[i, 0], gs[i, -1]),
                                integrand.kernel, pc_ends)
-        if not np.isfinite(value):
+        if not cmath.isfinite(value):
             raise PanelError(f"non-finite panel estimate on {spans[i].tolist()}")
         values.append(value)
         ranks.append(rank)

@@ -14,10 +14,6 @@ from . import chebyshev, linalg, oracle
 from .adaptive import AdaptiveConfig, adaptive_integrate
 from .levin import Integrand, levin_panel
 
-# Faults ``run`` can inject to show the suite fails, and the check each one
-# corrupts an ingredient of.
-FAULTS = {"wrong-diff-matrix": "chebyshev.diff_exactness"}
-
 
 def check_cheb_nodes():
     for k in (2, 3, 5, 9, 12):
@@ -27,10 +23,8 @@ def check_cheb_nodes():
         assert np.array_equal(x, -x[::-1])
 
 
-def check_cheb_diff_exactness(fault=None):
+def check_cheb_diff_exactness():
     d = chebyshev.diff_matrix(12)
-    if fault == "wrong-diff-matrix":
-        d[3, 4] += 1e-3
     x = chebyshev.cheb_nodes(12)
     assert np.abs(d @ np.ones(12)).max() <= 1e-13
     for m in range(1, 12):
@@ -170,24 +164,16 @@ CHECKS = [
 ]
 
 
-def run(filter: str | None = None, out=None, fault: str | None = None) -> int:
-    """Run the suite, print one line per check, return the failure count.
-
-    ``fault`` names an entry of FAULTS to inject into this run only.
-    """
+def run(filter: str | None = None, out=None) -> int:
+    """Run the suite, print one line per check, return the failure count."""
     import sys
-    if fault is not None and fault not in FAULTS:
-        raise ValueError(f"unknown fault {fault!r}; known: {sorted(FAULTS)}")
     out = out or sys.stdout
     failures = 0
     for name, fn in CHECKS:
         if filter and filter not in name:
             continue
         try:
-            if name == FAULTS.get(fault):
-                fn(fault)
-            else:
-                fn()
+            fn()
         except Exception as exc:  # report and keep going
             failures += 1
             print(f"FAIL {name}: {exc}", file=out)

@@ -4,7 +4,9 @@ import json
 import math
 import re
 
-from oscquad import selftest
+import pytest
+
+from oscquad import chebyshev, selftest
 from oscquad.cli import main
 
 
@@ -162,12 +164,58 @@ def test_selftest_filter(capsys):
     assert all("chebyshev" in l for l in lines)
 
 
-def test_selftest_injected_fault_fails(capsys):
-    code, out, _ = run_cli(["selftest", "--inject-fault", "wrong-diff-matrix"], capsys)
+def test_selftest_injected_fault_fails(capsys, monkeypatch):
+    true_diff_matrix = chebyshev.diff_matrix
+
+    def wrong_diff_matrix(k):
+        d = true_diff_matrix(k).copy()
+        d[3, 4] += 1e-3
+        return d
+
+    # only the chebyshev checks run while the matrix is wrong, so no cached
+    # panel grid is built from it
+    monkeypatch.setattr(chebyshev, "diff_matrix", wrong_diff_matrix)
+    code, out, _ = run_cli(["selftest", "--filter", "chebyshev."], capsys)
     assert code == 1
     assert "FAIL chebyshev.diff_exactness" in out
-    # the fault belonged to that run only
+    monkeypatch.undo()
     assert selftest.run(out=io.StringIO()) == 0
+
+
+BAD_INPUTS = [
+    ["sweep", "--paper-integral", "I9", "--grid-param", "m=abc"],
+    ["sweep", "--paper-integral", "I1", "--repeats", "0"],
+    ["compare", "--paper-integral", "I6", "--ranges", "0:10"],
+    ["compare", "--paper-integral", "I6", "--ranges", "10:1"],
+    ["integrate", "--paper-integral", "I1", "--param", "lambda=2", "--k", "3"],
+    ["integrate", "--paper-integral", "I1", "--param", "lambda=2", "--eps", "0"],
+    ["integrate", "--paper-integral", "I21", "--param", "kappa=-4", "--param", "m=2",
+     "--param", "alpha=0.5", "--eps-scale", "sqrt-kappa"],
+    ["compare", "--paper-integral", "I6", "--ranges", "1:10", "--samples", "0"],
+    ["sweep", "--paper-integral", "I1", "--sweep", "mu", "--param", "lambda=5"],
+    ["sweep", "--paper-integral", "I1", "--grid-param", "mu=1,2"],
+    ["compare", "--paper-integral", "I21", "--ranges", "1:10",
+     "--param", "kappa=10", "--param", "m=2", "--param", "alpha=0.5"],
+]
+
+
+@pytest.mark.parametrize("argv", BAD_INPUTS, ids=" ".join)
+def test_bad_input_exit2(argv, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert "error: " in err
+    assert "Traceback" not in err
+
+
+def test_unknown_integral_one_message(capsys):
+    messages = set()
+    for argv in (["integrate"], ["sweep"], ["compare", "--ranges", "1:10"]):
+        code, _, err = run_cli(argv + ["--paper-integral", "I99"], capsys)
+        assert code == 2
+        messages.add(err.splitlines()[-1].split(": error: ", 1)[1])
+    (message,) = messages
+    assert message.startswith("argument --paper-integral: invalid choice: 'I99'")
 
 
 def test_integrate_complex_f(capsys):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -208,11 +209,17 @@ def test_trio_nudges_each_sample_inside_its_own_span():
 
 
 def test_nonfinite_matrix_is_panel_failure():
-    # g' = 1.7e308 overflows the collocation matrix on either solver
+    # g' = 1.7e308 overflows the collocation matrix on either solver, which
+    # rejects it before factoring, with the same message and no warning
     integrand = Integrand(f=const_one, g=lambda x: 1.7e308 * x)
+    messages = set()
     for solver in ("qr", "svd"):
-        with pytest.raises(PanelError):
-            levin_panel(integrand, 0.0, 1.0, solver=solver)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PanelError, match="non-finite g' in ") as failure:
+                levin_panel(integrand, 0.0, 1.0, solver=solver)
+        messages.add(str(failure.value))
+    assert len(messages) == 1
 
 
 def test_interior_nan_is_panel_failure():
