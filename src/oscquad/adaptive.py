@@ -8,9 +8,13 @@ estimate is added to the running total, otherwise both halves go back on
 the worklist.  The worklist is a LIFO stack, so runs are deterministic and
 memory stays proportional to the subdivision depth.
 
-Safety rails absent from the basic scheme: a budget on the number of
-processed intervals and a minimum interval width, both reported through
-``QuadResult.status``.
+Safety rails absent from the basic scheme, both fixed and reported
+through ``QuadResult.status``: a budget of MAX_INTERVALS processed
+intervals per run ('budget_exhausted') and a width floor, an interval
+narrower than MIN_WIDTH_FACTOR * max(|a|, |b|, 1) ('width_floor').  A
+panel that cannot be estimated (non-finite samples) is split; one that
+still fails at the floor stops the run ('panel_failure').  The adaptive
+Gauss-Legendre reference runs through the same driver and rails.
 """
 
 from __future__ import annotations
@@ -22,12 +26,13 @@ import numpy as np
 from . import chebyshev, linalg
 from .levin import Integrand, PanelError, panel_trio
 
-STATUSES = ("converged", "budget_exhausted", "width_floor", "panel_failure")
+MAX_INTERVALS = 2 ** 20
+MIN_WIDTH_FACTOR = 16.0 * linalg.EPS0
 
 
 @dataclass(frozen=True)
 class AdaptiveConfig:
-    """Knobs of the adaptive integrator.
+    """Settings of the adaptive integrator.
 
     eps
         Absolute acceptance tolerance of the whole-vs-halves test.
@@ -37,31 +42,17 @@ class AdaptiveConfig:
         'qr' (rank-revealing QR, the fast path) or 'svd' (truncated SVD,
         the verification path).  Both produce the same estimates to well
         below eps.
-    max_intervals
-        Budget on processed (popped) intervals.
-    min_width_factor
-        An interval narrower than min_width_factor * max(|a|, |b|, 1) stops
-        the run with status 'width_floor'.
-    nudge
-        Re-evaluate non-finite endpoint samples slightly inside the panel
-        (integrable endpoint singularities); disable to turn such samples
-        into panel failures.
     """
 
     eps: float = 1e-12
     k: int = 12
     solver: str = "qr"
-    max_intervals: int = 2 ** 20
-    min_width_factor: float = 16.0 * linalg.EPS0
-    nudge: bool = True
 
     def __post_init__(self):
         if not self.eps > 0.0:
             raise ValueError("eps must be > 0")
         if self.k < 4:
             raise ValueError("collocation order must be >= 4")
-        if self.max_intervals < 1:
-            raise ValueError("max_intervals must be >= 1")
         if self.solver not in ("qr", "svd"):
             raise ValueError(f"solver must be 'qr' or 'svd', got {self.solver!r}")
 
@@ -92,15 +83,16 @@ def accepted_pair_update(val0: complex, val_l: complex, val_r: complex,
     return abs(val0 - (val_l + val_r)) < eps
 
 
-def _run_worklist(trio, a: float, b: float, eps: float, max_intervals: int,
-                  min_width_factor: float) -> QuadResult:
+def _run_worklist(trio, a: float, b: float, eps: float) -> QuadResult:
     """Generic whole-vs-halves driver over a panel-trio evaluator.
 
     ``trio(a0, c0, b0)`` returns (val0, val_l, val_r, nevals) and may raise
     PanelError; a failing interval is split until the width floor, at
-    which point the run stops with status 'panel_failure'.
+    which point the run stops with status 'panel_failure'.  The budget and
+    the floor are read from MAX_INTERVALS and MIN_WIDTH_FACTOR once per run.
     """
-    floor = min_width_factor * max(abs(a), abs(b), 1.0)
+    max_intervals = MAX_INTERVALS
+    floor = MIN_WIDTH_FACTOR * max(abs(a), abs(b), 1.0)
     stack = [(a, b)]
     val = 0.0 + 0.0j
     pops = 0
@@ -146,7 +138,6 @@ def adaptive_integrate(integrand: Integrand, a: float, b: float,
     grid = chebyshev.grid(config.k)
 
     def trio(a0, c0, b0):
-        return panel_trio(integrand, a0, c0, b0, grid, config.solver, config.nudge)
+        return panel_trio(integrand, a0, c0, b0, grid, config.solver)
 
-    return _run_worklist(trio, a, b, config.eps, config.max_intervals,
-                         config.min_width_factor)
+    return _run_worklist(trio, a, b, config.eps)

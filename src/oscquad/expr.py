@@ -17,12 +17,16 @@ There is no implicit multiplication.  Evaluation follows IEEE double
 semantics; non-finite results (1/0, (-2)^0.5, ...) are returned as inf/nan
 rather than raised, and it is the integrator's sampling policy that deals
 with them.
+
+``compile_fn(source, params)`` is the whole API: the parser builds the
+vectorized closure directly while it reads the source, with every
+parameter bound to a float at that point, and raises ParseError (with the
+offset of the offending token) or EvalError (an unbound name).
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import erf as _erf
@@ -36,34 +40,6 @@ class ParseError(ValueError):
 
 class EvalError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class Num:
-    value: float
-
-
-@dataclass(frozen=True)
-class Var:
-    name: str
-
-
-@dataclass(frozen=True)
-class Neg:
-    operand: object
-
-
-@dataclass(frozen=True)
-class BinOp:
-    op: str
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class Call:
-    name: str
-    args: tuple
 
 
 def _sech(v):
@@ -111,23 +87,38 @@ def _tokenize(source: str):
             if not stripped:
                 break
             raise ParseError(f"unexpected character {stripped[0]!r}", off)
-        off = m.start("num") if m.group("num") else (
-            m.start("ident") if m.group("ident") else m.start("op"))
-        if m.group("num"):
-            tokens.append(("num", m.group("num"), off))
-        elif m.group("ident"):
-            tokens.append(("ident", m.group("ident"), off))
-        else:
-            tokens.append(("op", m.group("op"), off))
+        tokens.append((m.lastgroup, m.group(m.lastgroup), m.start(m.lastgroup)))
         pos = m.end()
     tokens.append(("eof", "", len(source)))
     return tokens
 
 
+def _binary(op: str, lhs, rhs):
+    """The closure applying ``op`` to two operand closures, left one first."""
+    if op == "+":
+        return lambda x: lhs(x) + rhs(x)
+    if op == "-":
+        return lambda x: lhs(x) - rhs(x)
+    if op == "*":
+        return lambda x: lhs(x) * rhs(x)
+    if op == "/":
+        return lambda x: lhs(x) / rhs(x)
+    return lambda x: np.power(lhs(x), rhs(x))
+
+
 class _Parser:
-    def __init__(self, source: str):
+    """Recursive descent; each grammar rule returns a closure x -> value.
+
+    A name that is neither ``x``, a constant nor a parameter is remembered
+    (the first one in source order) instead of raised, so that a syntax
+    error anywhere in the source is reported first.
+    """
+
+    def __init__(self, source: str, params):
         self.tokens = _tokenize(source)
         self.pos = 0
+        self.params = params or {}
+        self.unbound = None
 
     def peek(self):
         return self.tokens[self.pos]
@@ -137,104 +128,101 @@ class _Parser:
         self.pos += 1
         return tok
 
+    def accept(self, ops: str):
+        """Consume the next token if it is one of the operators ``ops``; return it."""
+        kind, text, _off = self.peek()
+        if kind == "op" and text in ops:
+            self.pos += 1
+            return text
+        return None
+
     def expect_op(self, op: str):
-        kind, text, off = self.peek()
-        if kind != "op" or text != op:
-            raise ParseError(f"expected {op!r}", off)
-        self.next()
+        if not self.accept(op):
+            raise ParseError(f"expected {op!r}", self.peek()[2])
 
     def expr(self):
         node = self.term()
-        while True:
-            kind, text, _off = self.peek()
-            if kind == "op" and text in "+-":
-                self.next()
-                node = BinOp(text, node, self.term())
-            else:
-                return node
+        while op := self.accept("+-"):
+            node = _binary(op, node, self.term())
+        return node
 
     def term(self):
         node = self.factor()
-        while True:
-            kind, text, _off = self.peek()
-            if kind == "op" and text in "*/":
-                self.next()
-                node = BinOp(text, node, self.factor())
-            else:
-                return node
+        while op := self.accept("*/"):
+            node = _binary(op, node, self.factor())
+        return node
 
     def factor(self):
         node = self.unary()
-        kind, text, _off = self.peek()
-        if kind == "op" and text == "^":
-            self.next()
-            return BinOp("^", node, self.factor())
+        if self.accept("^"):
+            return _binary("^", node, self.factor())
         return node
 
     def unary(self):
-        kind, text, _off = self.peek()
-        if kind == "op" and text == "-":
-            self.next()
-            return Neg(self.unary())
+        if self.accept("-"):
+            sub = self.unary()
+            return lambda x: -sub(x)
         return self.atom()
 
     def atom(self):
         kind, text, off = self.next()
         if kind == "num":
-            return Num(float(text))
+            v = float(text)
+            return lambda x: v
         if kind == "ident":
-            pk, pt, _po = self.peek()
-            if pk == "op" and pt == "(":
-                self.next()
-                args = [self.expr()]
-                while True:
-                    k2, t2, _o2 = self.peek()
-                    if k2 == "op" and t2 == ",":
-                        self.next()
-                        args.append(self.expr())
-                    else:
-                        break
-                self.expect_op(")")
-                if text not in FUNCTIONS:
-                    raise ParseError(f"unknown function {text!r}", off)
-                if len(args) != FUNCTIONS[text][1]:
-                    raise ParseError(
-                        f"{text} takes {FUNCTIONS[text][1]} argument(s), got {len(args)}",
-                        off)
-                return Call(text, tuple(args))
-            return Var(text)
+            if self.accept("("):
+                return self.call(text, off)
+            if text == "x":
+                return lambda x: x
+            v = self.lookup(text)
+            return lambda x: v
         if kind == "op" and text == "(":
             node = self.expr()
             self.expect_op(")")
             return node
         raise ParseError("expected an expression", off)
 
+    def call(self, name: str, off: int):
+        args = [self.expr()]
+        while self.accept(","):
+            args.append(self.expr())
+        self.expect_op(")")
+        if name not in FUNCTIONS:
+            raise ParseError(f"unknown function {name!r}", off)
+        fn, arity = FUNCTIONS[name]
+        if len(args) != arity:
+            raise ParseError(f"{name} takes {arity} argument(s), got {len(args)}", off)
+        if arity == 1:
+            (sub,) = args
+            return lambda x: fn(sub(x))
+        sub0, sub1 = args
+        return lambda x: fn(sub0(x), sub1(x))
 
-def parse(source: str):
-    """Parse a source string into an expression tree."""
-    parser = _Parser(source)
-    node = parser.expr()
+    def lookup(self, name: str) -> float:
+        if name in CONSTANTS:
+            return CONSTANTS[name]
+        if name in self.params:
+            return float(self.params[name])
+        if self.unbound is None:
+            self.unbound = name
+        return 0.0
+
+
+def compile_fn(source: str, params=None):
+    """Compile expression source into a vectorized callable ndarray -> ndarray.
+
+    Parameters are bound from ``params`` at compile time.  A syntax error
+    raises ParseError; otherwise the first name in source order that is
+    not ``x``, a constant or a parameter raises EvalError.  A constant
+    expression is broadcast to the shape of the argument.
+    """
+    parser = _Parser(source, params)
+    body = parser.expr()
     kind, text, off = parser.peek()
     if kind != "eof":
         raise ParseError(f"unexpected {text!r}", off)
-    return node
-
-
-def _lookup(name: str, params):
-    if name in CONSTANTS:
-        return CONSTANTS[name]
-    if params and name in params:
-        return float(params[name])
-    raise EvalError(f"unbound parameter {name!r}")
-
-
-def compile_fn(expr, params=None):
-    """Compile an expression into a vectorized callable ndarray -> ndarray.
-
-    All parameters are bound at compile time; unknown names raise
-    EvalError here rather than per call.
-    """
-    body = _compile_node(expr, params)
+    if parser.unbound is not None:
+        raise EvalError(f"unbound parameter {parser.unbound!r}")
 
     def fn(x):
         out = body(x)
@@ -243,50 +231,3 @@ def compile_fn(expr, params=None):
         return out
 
     return fn
-
-
-def _compile_node(node, params):
-    if isinstance(node, Num):
-        v = node.value
-        return lambda x: v
-    if isinstance(node, Var):
-        if node.name == "x":
-            return lambda x: x
-        v = _lookup(node.name, params)
-        return lambda x: v
-    if isinstance(node, Neg):
-        sub = _compile_node(node.operand, params)
-        return lambda x: -sub(x)
-    if isinstance(node, BinOp):
-        lhs = _compile_node(node.left, params)
-        rhs = _compile_node(node.right, params)
-        op = node.op
-        if op == "+":
-            return lambda x: lhs(x) + rhs(x)
-        if op == "-":
-            return lambda x: lhs(x) - rhs(x)
-        if op == "*":
-            return lambda x: lhs(x) * rhs(x)
-        if op == "/":
-            return lambda x: lhs(x) / rhs(x)
-        return lambda x: np.power(lhs(x), rhs(x))
-    fn = FUNCTIONS[node.name][0]
-    args = [_compile_node(arg, params) for arg in node.args]
-    if len(args) == 1:
-        sub = args[0]
-        return lambda x: fn(sub(x))
-    sub0, sub1 = args
-    return lambda x: fn(sub0(x), sub1(x))
-
-
-def to_source(expr) -> str:
-    """Render an expression tree back to parseable source (fully parenthesized)."""
-    if isinstance(expr, Num):
-        return repr(expr.value)
-    if isinstance(expr, Var):
-        return expr.name
-    if isinstance(expr, Neg):
-        return f"(-{to_source(expr.operand)})"
-    if isinstance(expr, BinOp):
-        return f"({to_source(expr.left)} {expr.op} {to_source(expr.right)})"
-    return f"{expr.name}({', '.join(to_source(a) for a in expr.args)})"

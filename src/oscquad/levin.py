@@ -131,8 +131,7 @@ def _solve_panel(fs, gprime, diff, half, solver, want_conj):
     return p, pc, rank
 
 
-def panel_values(integrand: Integrand, spans, grid: chebyshev.ChebGrid,
-                 solver: str, nudge: bool):
+def panel_values(integrand: Integrand, spans, grid: chebyshev.ChebGrid, solver: str):
     """Panel estimates over each (a, b) in ``spans`` from one sampling pass.
 
     The grid is mapped onto every span at once, with each span's first and
@@ -140,9 +139,9 @@ def panel_values(integrand: Integrand, spans, grid: chebyshev.ChebGrid,
     single vectorized call over all of them.  A node where f or g is
     non-finite is re-evaluated once, shifted toward the interior of its own
     span by NUDGE_FACTOR times that span's width; a sample still non-finite
-    (or any, when nudging is disabled) raises PanelError, as do a g' that
-    overflows (before any span is factored, whatever the solver) and a
-    non-finite estimate.  Returns (values, ranks, nevals).
+    raises PanelError, as do a g' that overflows (before any span is
+    factored, whatever the solver) and a non-finite estimate.  Returns
+    (values, ranks, nevals).
     """
     spans = np.asarray(spans, dtype=np.float64)
     lo, hi = spans[:, 0], spans[:, 1]
@@ -160,8 +159,6 @@ def panel_values(integrand: Integrand, spans, grid: chebyshev.ChebGrid,
         nevals = xs.shape[0]
         bad = ~(np.isfinite(fs) & np.isfinite(gs))
         if bad.any():
-            if not nudge:
-                raise PanelError(f"non-finite sample in {spans.tolist()} (nudge disabled)")
             idx = np.nonzero(bad)[0]
             span = idx // k
             step = NUDGE_FACTOR * (hi - lo)[span]
@@ -194,23 +191,23 @@ def panel_values(integrand: Integrand, spans, grid: chebyshev.ChebGrid,
 
 
 def levin_panel(integrand: Integrand, a0: float, b0: float,
-                grid: chebyshev.ChebGrid | None = None, solver: str = "qr",
-                nudge: bool = True) -> LevinLocalResult:
+                grid: chebyshev.ChebGrid | None = None,
+                solver: str = "qr") -> LevinLocalResult:
     """Estimate the integral of f * kernel(g) over a single panel [a0, b0]."""
     if not (np.isfinite(a0) and np.isfinite(b0) and a0 < b0):
         raise ValueError(f"need finite a0 < b0, got [{a0}, {b0}]")
     if grid is None:
         grid = chebyshev.grid()
-    values, ranks, _ = panel_values(integrand, ((a0, b0),), grid, solver, nudge)
+    values, ranks, _ = panel_values(integrand, ((a0, b0),), grid, solver)
     return LevinLocalResult(value=values[0], rank_used=ranks[0])
 
 
 def panel_trio(integrand: Integrand, a0: float, c0: float, b0: float,
-               grid: chebyshev.ChebGrid, solver: str, nudge: bool):
+               grid: chebyshev.ChebGrid, solver: str):
     """Estimates for [a0,b0], [a0,c0] and [c0,b0]: the adaptive driver's inner loop.
 
     Returns (val0, val_left, val_right, nevals).
     """
     values, _, nevals = panel_values(integrand, ((a0, b0), (a0, c0), (c0, b0)),
-                                     grid, solver, nudge)
+                                     grid, solver)
     return values[0], values[1], values[2], nevals

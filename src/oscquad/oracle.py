@@ -1,9 +1,9 @@
 """Independent reference integrator: adaptive Gauss-Legendre quadrature.
 
 Cross-validation for the collocation-based integrator.  Panels are plain
-n-point Gauss-Legendre estimates (30 points by default) and the adaptive
-acceptance is the same whole-vs-halves comparison used by the main driver,
-with the unsplit panel value accumulated on acceptance.  Nothing numeric
+30-point Gauss-Legendre estimates and the adaptive acceptance is the same
+whole-vs-halves comparison used by the main driver, with the unsplit
+panel value accumulated on acceptance.  Nothing numeric
 is shared with the Levin panels beyond the worklist logic, so agreement
 between the two is meaningful evidence of correctness.
 
@@ -19,11 +19,11 @@ from typing import Callable
 
 import numpy as np
 
-from . import linalg
 from .adaptive import QuadResult, _run_worklist
 from .levin import PanelError
 
 _MAX_POINTS = 200
+_POINTS = 30  # Gauss-Legendre points per adaptive_gauss panel
 
 
 @dataclass(frozen=True)
@@ -86,19 +86,19 @@ def gauss_rule(n: int) -> GaussRule:
 
 
 def adaptive_gauss(fn: Callable[[np.ndarray], np.ndarray], a: float, b: float,
-                   tol: float = 1e-15, n: int = 30,
-                   max_intervals: int = 2 ** 20,
-                   min_width_factor: float = 16.0 * linalg.EPS0) -> QuadResult:
+                   tol: float = 1e-15) -> QuadResult:
     """Adaptively integrate a (possibly complex-valued) function over [a, b].
 
     ``fn`` must accept a float ndarray.  The default tolerance of 1e-15 is
     deliberately tighter than typical targets for the main integrator so
-    the reference value does not limit comparisons.
+    the reference value does not limit comparisons.  The interval budget
+    and width floor are those of the collocation driver.
     """
     if not (np.isfinite(a) and np.isfinite(b) and a < b):
         raise ValueError(f"need finite a < b, got [{a}, {b}]")
     if not tol > 0.0:
         raise ValueError("tol must be > 0")
+    n = _POINTS
     rule = gauss_rule(n)
     nodes = rule.nodes
     weights = rule.weights
@@ -120,4 +120,4 @@ def adaptive_gauss(fn: Callable[[np.ndarray], np.ndarray], a: float, b: float,
         vr = hh * (weights @ ys[2 * n:])
         return v0, vl, vr, 3 * n
 
-    return _run_worklist(trio, a, b, tol, max_intervals, min_width_factor)
+    return _run_worklist(trio, a, b, tol)

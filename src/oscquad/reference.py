@@ -127,6 +127,10 @@ def _require(id: str) -> NamedIntegral:
 
 
 def _check_params(entry: NamedIntegral, params: dict):
+    for name in params:
+        if name not in entry.params:
+            raise ValueError(f"{entry.id} has no parameter {name!r}; "
+                             f"it takes {', '.join(entry.params)}")
     missing = [p for p in entry.params if p not in params]
     if missing:
         raise ValueError(f"{entry.id} needs parameter(s) {missing}")
@@ -176,9 +180,9 @@ def integrand_for(id: str, params: dict):
     entry = _require(id)
     _check_params(entry, params)
     bound = {p: float(params[p]) for p in entry.params}
-    f_fn = exprmod.compile_fn(exprmod.parse(entry.f_expr), bound)
+    f_fn = exprmod.compile_fn(entry.f_expr, bound)
     components = [
-        (entry.weight, Integrand(f=f_fn, g=exprmod.compile_fn(exprmod.parse(g), bound),
+        (entry.weight, Integrand(f=f_fn, g=exprmod.compile_fn(g, bound),
                                  kernel=entry.kernel))
         for g in entry.phases
     ]
@@ -225,8 +229,8 @@ def oracle_integrand(id: str, params: dict):
             return scale * np.cos(m * x) * np.exp(-1j * kappa * root) / root
 
         return fn, domain_for(id, params)
-    f_fn = exprmod.compile_fn(exprmod.parse(entry.f_expr), bound)
-    g_fn = exprmod.compile_fn(exprmod.parse(entry.g_expr), bound)
+    f_fn = exprmod.compile_fn(entry.f_expr, bound)
+    g_fn = exprmod.compile_fn(entry.g_expr, bound)
     if entry.kernel == "exp":
         def fn(x):
             return f_fn(x) * np.exp(1j * g_fn(x))

@@ -142,8 +142,7 @@ def sampled_nodes(spans, k):
         seen.append(np.array(x))
         return np.ones_like(x)
 
-    panel_values(Integrand(f=f, g=lambda x: 0.0 * x), spans, chebyshev.grid(k),
-                 "qr", True)
+    panel_values(Integrand(f=f, g=lambda x: 0.0 * x), spans, chebyshev.grid(k), "qr")
     return seen[0].reshape(len(spans), k)
 
 

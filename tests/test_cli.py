@@ -16,6 +16,11 @@ def run_cli(argv, capsys):
     return code, out, err
 
 
+def read_csv(path):
+    with path.open(newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
 def test_integrate_catalog(capsys):
     code, out, _ = run_cli(["integrate", "--paper-integral", "I1",
                             "--param", "lambda=2"], capsys)
@@ -83,7 +88,7 @@ def test_sweep_csv(tmp_path, capsys):
     code, _, _ = run_cli(["sweep", "--paper-integral", "I1", "--decades", "1:3",
                           "--count", "5", "--out", str(out_path)], capsys)
     assert code == 0
-    rows = list(csv.DictReader(out_path.open()))
+    rows = read_csv(out_path)
     assert len(rows) == 5
     assert set(rows[0]) == {"lambda", "value_re", "value_im",
                             "abs_error_vs_closed_form", "intervals", "fevals",
@@ -99,7 +104,7 @@ def test_sweep_grid_param(tmp_path, capsys):
                           "--count", "3", "--grid-param", "m=2,3",
                           "--eps", "1e-7", "--out", str(out_path)], capsys)
     assert code == 0
-    rows = list(csv.DictReader(out_path.open()))
+    rows = read_csv(out_path)
     assert len(rows) == 6
     assert {row["m"] for row in rows} == {"2", "3"}
 
@@ -129,7 +134,7 @@ def test_compare_csv(tmp_path, capsys):
                           "--ranges", "1e1:1e2", "--samples", "3",
                           "--out", str(out_path)], capsys)
     assert code == 0
-    rows = list(csv.DictReader(out_path.open()))
+    rows = read_csv(out_path)
     assert len(rows) == 1
     row = rows[0]
     assert row["integral"] == "I6"
@@ -145,8 +150,23 @@ def test_compare_low_frequency_extension(tmp_path, capsys):
                           "--ranges", "1e-8:1e0", "--samples", "8",
                           "--out", str(out_path)], capsys)
     assert code == 0
-    row = next(csv.DictReader(out_path.open()))
+    (row,) = read_csv(out_path)
     assert float(row["max_abs_difference"]) <= 1e-11
+
+
+def test_compare_without_reference_leaves_gauss_columns_empty(capsys):
+    # the second range lies wholly above --max-oracle-lambda, so no Gauss
+    # run backs its row
+    code, out, _ = run_cli(["compare", "--paper-integral", "I1",
+                            "--ranges", "1e0:1e2,1e5:1e6", "--samples", "3",
+                            "--max-oracle-lambda", "30", "--no-timing"], capsys)
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert len(rows) == 2
+    assert float(rows[0]["max_abs_difference"]) <= 1e-10
+    assert rows[0]["avg_time_gauss"] == "0"
+    assert (rows[1]["avg_time_gauss"], rows[1]["ratio"],
+            rows[1]["max_abs_difference"]) == ("", "", "")
 
 
 def test_selftest_pass(capsys):
@@ -196,6 +216,8 @@ BAD_INPUTS = [
     ["sweep", "--paper-integral", "I1", "--grid-param", "mu=1,2"],
     ["compare", "--paper-integral", "I21", "--ranges", "1:10",
      "--param", "kappa=10", "--param", "m=2", "--param", "alpha=0.5"],
+    ["integrate", "--paper-integral", "I1", "--param", "lambda=5", "--param", "mu=3"],
+    ["sweep", "--paper-integral", "I1", "--param", "mu=3"],
 ]
 
 

@@ -167,8 +167,6 @@ def test_endpoint_nudge_repairs_singular_sample():
     integrand = Integrand(f=f, g=lambda x: 0.0 * x)
     res = levin_panel(integrand, 0.0, 1e-3)
     assert np.isfinite(res.value)
-    with pytest.raises(PanelError):
-        levin_panel(integrand, 0.0, 1e-3, nudge=False)
 
 
 def test_nudge_counts_extra_evaluations():
@@ -180,8 +178,7 @@ def test_nudge_counts_extra_evaluations():
             return 1.0 / np.sqrt(x)
 
     integrand = Integrand(f=f, g=lambda x: 0.0 * x)
-    values, _, nevals = panel_values(integrand, ((0.0, 1.0),), chebyshev.grid(12),
-                                     "qr", True)
+    values, _, nevals = panel_values(integrand, ((0.0, 1.0),), chebyshev.grid(12), "qr")
     assert nevals == 13  # 12 samples + 1 nudged endpoint
     assert calls["n"] == 13
     assert np.isfinite(values[0])
@@ -199,7 +196,7 @@ def test_trio_nudges_each_sample_inside_its_own_span():
 
     integrand = Integrand(f=f, g=lambda x: 3.0 * x)
     grid = chebyshev.grid(12)
-    _, left, right, nevals = panel_trio(integrand, -1.0, 0.0, 1.0, grid, "qr", True)
+    _, left, right, nevals = panel_trio(integrand, -1.0, 0.0, 1.0, grid, "qr")
     assert nevals == 38
     step = NUDGE_FACTOR * 1.0  # both halves have width 1
     assert len(resampled) == 1

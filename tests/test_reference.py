@@ -70,6 +70,16 @@ def test_integrand_components():
         integrand_for("I9", {"lambda": 10.0})  # missing m
 
 
+def test_unknown_parameter_rejected_on_every_route():
+    params = {"lambda": 5.0, "mu": 3.0}
+    message = "I1 has no parameter 'mu'; it takes lambda"
+    for route in (integrand_for, evaluate_levin, evaluate_oracle, domain_for,
+                  closed_form_value):
+        with pytest.raises(ValueError) as exc:
+            route("I1", params)
+        assert str(exc.value) == message, route.__name__
+
+
 def test_truncated_domains_scale_with_lambda():
     a, b = domain_for("I2", {"lambda": 10.0})
     assert a == 0.0
@@ -107,7 +117,7 @@ def test_reciprocal_sqrt_phase_vs_oracle():
 
     for lam in (1.0, 31.6, 1000.0):
         u_max = min(4e13 / lam, 1.0 + 1.2e4 / lam)
-        f = exprmod.compile_fn(exprmod.parse("2/x"))
+        f = exprmod.compile_fn("2/x")
         integrand = Integrand(f=f, g=lambda x, lam=lam: lam * x)
         res = adaptive_integrate(integrand, 1.0, u_max)
         ref = adaptive_gauss(lambda u: (2.0 / u) * np.exp(1j * lam * u), 1.0, u_max,
