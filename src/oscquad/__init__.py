@@ -8,7 +8,7 @@ frequency and across stationary points of the phase.
 """
 
 from .adaptive import AdaptiveConfig, QuadResult, adaptive_integrate
-from .chebyshev import ChebGrid, cheb_coeffs, cheb_eval, cheb_nodes, diff_matrix, grid
+from .chebyshev import ChebGrid, cheb_coeffs, cheb_nodes, diff_matrix, grid
 from .levin import Integrand, LevinLocalResult, PanelError, levin_panel, weighted_value
 from .linalg import SvdFactors, qr_apply, qr_factor, svd, tsvd_apply
 from .oracle import GaussRule, adaptive_gauss, gauss_rule
@@ -22,7 +22,6 @@ __all__ = [
     "adaptive_integrate",
     "ChebGrid",
     "cheb_coeffs",
-    "cheb_eval",
     "cheb_nodes",
     "diff_matrix",
     "grid",

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import chebyshev, linalg
-from .levin import Integrand, PanelError, panel_trio
+from .levin import SOLVERS, Integrand, PanelError, panel_trio
 
 MAX_INTERVALS = 2 ** 20
 MIN_WIDTH_FACTOR = 16.0 * linalg.EPS0
@@ -49,11 +49,11 @@ class AdaptiveConfig:
     solver: str = "qr"
 
     def __post_init__(self):
-        if not self.eps > 0.0:
-            raise ValueError("eps must be > 0")
+        if not (self.eps > 0.0 and np.isfinite(self.eps)):
+            raise ValueError("eps must be finite and > 0")
         if self.k < 4:
             raise ValueError("collocation order must be >= 4")
-        if self.solver not in ("qr", "svd"):
+        if self.solver not in SOLVERS:
             raise ValueError(f"solver must be 'qr' or 'svd', got {self.solver!r}")
 
 

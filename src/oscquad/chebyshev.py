@@ -3,7 +3,7 @@
 The collocation machinery in this package works on the k-point grid of
 Chebyshev extremal nodes (the Chebyshev-Lobatto grid, endpoints included).
 This module builds the grid, the associated spectral differentiation
-matrix, and the value<->coefficient transforms, all on the reference
+matrix, and the value-to-coefficient transform, all on the reference
 interval [-1, 1].
 
 Grids are immutable and cached per order k; construction is idempotent, so
@@ -106,16 +106,6 @@ def cheb_coeffs(values: np.ndarray) -> np.ndarray:
     coeffs[0] *= 0.5
     coeffs[-1] *= 0.5
     return coeffs
-
-
-def cheb_eval(coeffs: np.ndarray, x: float) -> complex:
-    """Evaluate sum_n a_n T_n(x) by the Clenshaw recurrence."""
-    coeffs = np.asarray(coeffs)
-    b1 = 0.0
-    b2 = 0.0
-    for a in coeffs[:0:-1]:
-        b1, b2 = a + 2.0 * x * b1 - b2, b1
-    return coeffs[0] + x * b1 - b2
 
 
 _GRIDS: dict[int, ChebGrid] = {}

@@ -13,13 +13,13 @@ Four subcommands:
 
 Exit codes: 0 success, 1 a computation did not converge (or a self-test
 failed), 2 bad input.  Bad input is a flag argparse rejects (it also
-checks the catalog id and the ranges of --decades, --ranges, --count and
---samples) or a ValueError raised while the command runs: an
-expression that does not parse, a catalog parameter that is missing or
-that the integral does not take (given, swept or gridded), a tolerance
-``AdaptiveConfig`` rejects.  ``main`` prints the message to stderr and
-returns the code instead of raising.  All floating-point output is
-rendered with 17 significant digits so values round-trip exactly.
+checks the catalog id and the ranges of --decades, --ranges, --count,
+--samples and --oracle-tol) or a ValueError raised while the command
+runs: an expression that does not parse, a catalog parameter that is
+missing or that the integral does not take (given, swept or gridded), a
+tolerance ``AdaptiveConfig`` rejects.  ``main`` prints the message to
+stderr and returns the code instead of raising.  All floating-point
+output is rendered with 17 significant digits so values round-trip exactly.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ import numpy as np
 from . import expr as exprmod
 from . import reference, selftest
 from .adaptive import AdaptiveConfig, adaptive_integrate
-from .levin import Integrand
+from .levin import KERNELS, SOLVERS, Integrand
 from .linalg import EPS0
 
 
@@ -86,6 +86,14 @@ def _ranges(text):
     if min(lo for lo, _ in ranges) <= 0.0:
         raise ValueError(text)
     return ranges
+
+
+@_flag_type("a finite number > 0")
+def _tolerance(text):
+    tol = float(text)
+    if not 0.0 < tol < math.inf:
+        raise ValueError(text)
+    return tol
 
 
 @_flag_type("an integer >= 1")
@@ -168,7 +176,7 @@ def cmd_sweep(args) -> int:
     worst_status = 0
     for params, result, seconds in _runs(args, args.sweep, values, args.grid_param):
         abs_err = ""
-        if entry.has_closed_form:
+        if entry.closed_form is not None:
             target = reference.closed_form_value(entry.id, params)
             abs_err = _fmt(abs(result.value - target))
         if result.status != "converged":
@@ -241,18 +249,18 @@ def cmd_selftest(args) -> int:
 EXPR_HELP = (
     "Expressions support numbers, 'x', named parameters (bound with --param), "
     "pi, e, the operators + - * / ^ (right-associative ^, no implicit "
-    "multiplication), unary minus, and the functions sin cos tan atan atan2 "
-    "exp log sqrt abs tanh cosh sinh sech erf pow min max."
+    "multiplication), unary minus, and the functions "
+    f"{' '.join(exprmod.FUNCTIONS)}."
 )
 
 
 def _add_common(p):
-    p.add_argument("--eps", type=float, default=1e-12,
-                   help="absolute acceptance tolerance (default 1e-12)")
-    p.add_argument("--k", type=int, default=12,
-                   help="collocation order per panel (default 12)")
-    p.add_argument("--solver", choices=("qr", "svd"), default="qr",
-                   help="panel solver (default qr)")
+    p.add_argument("--eps", type=float, default=AdaptiveConfig.eps,
+                   help="absolute acceptance tolerance (default %(default)s)")
+    p.add_argument("--k", type=int, default=AdaptiveConfig.k,
+                   help="collocation order per panel (default %(default)s)")
+    p.add_argument("--solver", choices=SOLVERS, default=AdaptiveConfig.solver,
+                   help="panel solver (default %(default)s)")
     p.add_argument("--param", action="append", type=_param, metavar="NAME=VALUE",
                    help="bind a parameter (repeatable)")
     p.add_argument("--eps-scale", choices=("sqrt-kappa",),
@@ -263,7 +271,8 @@ def _add_common(p):
 
 def _add_catalog_id(p, **kwargs):
     p.add_argument("--paper-integral", metavar="ID", choices=reference.CATALOG,
-                   help="catalog integral id (I1..I9, I21, I22)", **kwargs)
+                   help=f"catalog integral id ({', '.join(reference.CATALOG)})",
+                   **kwargs)
 
 
 def main(argv=None) -> int:
@@ -283,7 +292,7 @@ def main(argv=None) -> int:
     p.add_argument("--g", help="phase g(x) as an expression")
     p.add_argument("--a", type=float, help="lower endpoint")
     p.add_argument("--b", type=float, help="upper endpoint")
-    p.add_argument("--kernel", choices=("exp", "cos", "sin"), default="exp")
+    p.add_argument("--kernel", choices=KERNELS, default="exp")
     _add_catalog_id(p)
     _add_common(p)
     p.set_defaults(func=cmd_integrate)
@@ -309,7 +318,7 @@ def main(argv=None) -> int:
                    help="lambda ranges, sampled log-uniformly")
     p.add_argument("--samples", type=_count, default=20,
                    help="random samples per range (default 20)")
-    p.add_argument("--oracle-tol", type=float, default=1e-15,
+    p.add_argument("--oracle-tol", type=_tolerance, default=1e-15,
                    help="reference integrator tolerance (default 1e-15)")
     p.add_argument("--max-oracle-lambda", type=float, default=1e4,
                    help="skip the reference above this lambda (default 1e4)")

@@ -37,6 +37,7 @@ import numpy as np
 from . import chebyshev, linalg
 
 KERNELS = ("exp", "cos", "sin")
+SOLVERS = ("qr", "svd")
 
 # Inward shift, as a fraction of the width of the sample's own panel, used
 # to re-evaluate an endpoint whose sample came back non-finite (integrable

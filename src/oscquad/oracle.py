@@ -28,9 +28,8 @@ _POINTS = 30  # Gauss-Legendre points per adaptive_gauss panel
 
 @dataclass(frozen=True)
 class GaussRule:
-    """n-point Gauss-Legendre rule on [-1, 1]."""
+    """Gauss-Legendre rule on [-1, 1]."""
 
-    n: int
     nodes: np.ndarray
     weights: np.ndarray
 
@@ -78,7 +77,7 @@ def gauss_rule(n: int) -> GaussRule:
     w = 0.5 * (w + w[::-1])
     if n % 2 == 1:
         x[n // 2] = 0.0
-    rule = GaussRule(n=n, nodes=x, weights=w)
+    rule = GaussRule(nodes=x, weights=w)
     rule.nodes.setflags(write=False)
     rule.weights.setflags(write=False)
     _RULES[n] = rule
@@ -96,8 +95,8 @@ def adaptive_gauss(fn: Callable[[np.ndarray], np.ndarray], a: float, b: float,
     """
     if not (np.isfinite(a) and np.isfinite(b) and a < b):
         raise ValueError(f"need finite a < b, got [{a}, {b}]")
-    if not tol > 0.0:
-        raise ValueError("tol must be > 0")
+    if not (tol > 0.0 and np.isfinite(tol)):
+        raise ValueError("tol must be finite and > 0")
     n = _POINTS
     rule = gauss_rule(n)
     nodes = rule.nodes

@@ -1,14 +1,16 @@
 """Catalog of benchmark integrals with known values or reference routes.
 
-Every entry defines f, g and the kernel as expression strings over the
-variable x plus named parameters, together with the integration domain and
-(where a usable closed form exists) the target value.  The catalog is what
-the CLI exposes through ``--paper-integral``.
+Each entry is one record holding all that any route needs: f, g and the
+kernel as expression strings over the variable x plus named parameters,
+the domain, the closed form where one is known (I1, I2, I4, I7), and the
+reference route's direct integrand where it is not f*kernel(g) (I21).
+Adding an integral or a closed form means adding one record.  The catalog
+is what the CLI exposes through ``--paper-integral``.
 
 Semi-infinite or endpoint-singular members are restated in a form the
-finite-interval machinery can handle; each such restatement is documented
-on the entry and comes with an explicit truncation rule whose tail bound
-is far below the accuracy targets:
+finite-interval machinery can handle; each such restatement comes with an
+explicit truncation rule (a domain that depends on lambda) whose tail
+bound is far below the accuracy targets:
 
 * I2 = int_0^inf exp(i*lam*x^2)/sqrt(x) dx.  The substitution x = u^2
   turns it into 2 * int_0^inf exp(i*lam*u^4) du, which removes the
@@ -33,8 +35,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
+from scipy.special import erf
 
 from . import expr as exprmod
 from .adaptive import AdaptiveConfig, QuadResult, adaptive_integrate
@@ -51,10 +55,12 @@ GAMMA_5_4 = 0.90640247705547705
 class NamedIntegral:
     """One catalog entry.
 
-    ``domain`` is either a fixed (a, b) pair or None when the truncation
-    point depends on the parameters (see ``domain_for``).  ``phases``
-    lists the g expressions of the exp-kernel components the integral
-    splits into; all but I21 have exactly one.
+    ``domain`` is the fixed (a, b) pair, or a function of lambda > 0 where
+    the truncation point depends on it.  ``phases`` lists the g
+    expressions of the exp-kernel components the integral splits into;
+    all but I21 have exactly one.  ``closed_form`` maps lambda to the
+    value, or is None.  ``product`` maps the bound parameters to the
+    reference route's direct integrand; None means f*kernel(g).
     """
 
     id: str
@@ -62,42 +68,64 @@ class NamedIntegral:
     kernel: str
     params: tuple
     phases: tuple
-    domain: tuple | None
+    domain: tuple | Callable[[float], tuple]
     weight: float = 1.0
-    has_closed_form: bool = False
-    note: str = ""
+    closed_form: Callable[[float], complex] | None = None
+    product: Callable[[dict], Callable] | None = None
 
     @property
     def g_expr(self) -> str:
         return self.phases[0]
 
 
+def _helmholtz_mode(bound: dict):
+    """The modal Helmholtz component with cos(m*x) kept as a factor."""
+    m = bound["m"]
+    kappa = bound["kappa"]
+    alpha = bound["alpha"]
+    scale = 1.0 / (4.0 * math.pi ** 2)
+
+    def fn(x):
+        root = np.sqrt(1.0 - alpha * np.cos(x))
+        return scale * np.cos(m * x) * np.exp(-1j * kappa * root) / root
+
+    return fn
+
+
 CATALOG = {
     "I1": NamedIntegral(
         id="I1", f_expr="1/(1+x^2)", kernel="cos", params=("lambda",),
-        phases=("lambda*atan(x)",), domain=(-1.0, 1.0), has_closed_form=True),
+        phases=("lambda*atan(x)",), domain=(-1.0, 1.0),
+        closed_form=lambda lam: complex(2.0 / lam * math.sin(math.pi / 4.0 * lam))),
     "I2": NamedIntegral(
         id="I2", f_expr="2", kernel="exp", params=("lambda",),
-        phases=("lambda*x^4",), domain=None, has_closed_form=True,
-        note="substituted x = u^2; truncated at U = (1e13/lambda)^(1/3), "
-             "tail <= 1/(lambda*U^3) <= 1e-13"),
+        phases=("lambda*x^4",),
+        domain=lambda lam: (0.0, (1e13 / lam) ** (1.0 / 3.0)),
+        closed_form=lambda lam: np.exp(1j * math.pi / 8.0) * 2.0 * GAMMA_5_4 / lam ** 0.25),
     "I3": NamedIntegral(
         id="I3", f_expr="2/x", kernel="exp", params=("lambda",),
-        phases=("lambda*x",), domain=None,
-        note="substituted u = 1/sqrt(x); truncated at U = 4e13/lambda, "
-             "tail <= 4/(lambda*U) <= 1e-13"),
+        phases=("lambda*x",), domain=lambda lam: (1.0, 4e13 / lam)),
+    # The upper endpoint phase of the I4 closed form is written exactly as
+    # the integrand evaluates it (lambda * exp(10)) so argument rounding
+    # cancels in comparisons.
     "I4": NamedIntegral(
         id="I4", f_expr="exp(x)", kernel="exp", params=("lambda",),
-        phases=("lambda*exp(x)",), domain=(0.0, 10.0), has_closed_form=True),
+        phases=("lambda*exp(x)",), domain=(0.0, 10.0),
+        closed_form=lambda lam: (1j / lam) * (np.exp(1j * lam)
+                                              - np.exp(1j * (lam * np.exp(10.0))))),
     "I5": NamedIntegral(
         id="I5", f_expr="exp(-x)*x", kernel="exp", params=("lambda",),
         phases=("lambda*x^2",), domain=(0.0, 1.0)),
     "I6": NamedIntegral(
         id="I6", f_expr="1+x^2", kernel="exp", params=("lambda",),
         phases=("lambda*x^2",), domain=(-1.0, 1.0)),
+    # Fresnel integral: int_{-4}^{4} exp(i*lam*x^2) dx
+    # = sqrt(pi/lam) * e^{i*pi/4} * erf(4*sqrt(lam) * e^{-i*pi/4}).
     "I7": NamedIntegral(
         id="I7", f_expr="1", kernel="exp", params=("lambda",),
-        phases=("lambda*x^2",), domain=(-4.0, 4.0)),
+        phases=("lambda*x^2",), domain=(-4.0, 4.0),
+        closed_form=lambda lam: (math.sqrt(math.pi / lam) * np.exp(1j * math.pi / 4.0)
+                                 * erf(4.0 * math.sqrt(lam) * np.exp(-1j * math.pi / 4.0)))),
     "I8": NamedIntegral(
         id="I8", f_expr="1/(0.01+x^4)", kernel="exp", params=("lambda",),
         phases=("lambda*x^4",), domain=(-1.0, 1.0)),
@@ -111,62 +139,50 @@ CATALOG = {
                 "-m*x - kappa*sqrt(1-alpha*cos(x))"),
         domain=(-math.pi, math.pi),
         weight=1.0 / (8.0 * math.pi ** 2),
-        note="cos(m*x) folded into the phase; the two components are "
-             "averaged and scaled by 1/(4*pi^2)"),
+        product=_helmholtz_mode),
     "I22": NamedIntegral(
         id="I22", f_expr="1/(1+x^2)", kernel="exp", params=("lambda", "m"),
         phases=("lambda*cos(pi/2*m*x)^2",), domain=(-1.0, 1.0)),
 }
 
+_KERNELS = {"exp": lambda g: np.exp(1j * g), "cos": np.cos, "sin": np.sin}
 
-def _require(id: str) -> NamedIntegral:
+
+def _entry(id: str, params: dict) -> NamedIntegral:
+    """The record of ``id``, once its parameter names are checked."""
     entry = CATALOG.get(id)
     if entry is None:
         raise KeyError(f"unknown integral id {id!r}; known: {sorted(CATALOG)}")
-    return entry
-
-
-def _check_params(entry: NamedIntegral, params: dict):
     for name in params:
         if name not in entry.params:
-            raise ValueError(f"{entry.id} has no parameter {name!r}; "
+            raise ValueError(f"{id} has no parameter {name!r}; "
                              f"it takes {', '.join(entry.params)}")
     missing = [p for p in entry.params if p not in params]
     if missing:
-        raise ValueError(f"{entry.id} needs parameter(s) {missing}")
+        raise ValueError(f"{id} needs parameter(s) {missing}")
+    return entry
 
 
-def domain_for(id: str, params: dict) -> tuple:
-    """Integration domain, applying the documented truncation rules."""
-    entry = _require(id)
-    _check_params(entry, params)
-    if entry.domain is not None:
+def _domain(entry: NamedIntegral, params: dict) -> tuple:
+    if isinstance(entry.domain, tuple):
         return entry.domain
     lam = float(params["lambda"])
     if lam <= 0:
         raise ValueError(f"{entry.id} needs lambda > 0")
-    if id == "I2":
-        return (0.0, (1e13 / lam) ** (1.0 / 3.0))
-    if id == "I3":
-        return (1.0, 4e13 / lam)
-    raise AssertionError(id)
+    return entry.domain(lam)
+
+
+def domain_for(id: str, params: dict) -> tuple:
+    """Integration domain, applying the documented truncation rules."""
+    return _domain(_entry(id, params), params)
 
 
 def closed_form_value(id: str, params: dict) -> complex:
-    """Target value from the known closed form (I1, I2 and I4 only)."""
-    entry = _require(id)
-    if not entry.has_closed_form:
+    """Target value from the entry's closed form (ValueError if it has none)."""
+    entry = _entry(id, params)
+    if entry.closed_form is None:
         raise ValueError(f"no closed form available for {id}")
-    _check_params(entry, params)
-    lam = float(params["lambda"])
-    if id == "I1":
-        return complex(2.0 / lam * math.sin(math.pi / 4.0 * lam))
-    if id == "I2":
-        return np.exp(1j * math.pi / 8.0) * 2.0 * GAMMA_5_4 / lam ** 0.25
-    # I4: the upper endpoint phase is written exactly as the integrand
-    # evaluates it (lambda * exp(10)) so argument rounding cancels in
-    # comparisons.
-    return (1j / lam) * (np.exp(1j * lam) - np.exp(1j * (lam * np.exp(10.0))))
+    return entry.closed_form(float(params["lambda"]))
 
 
 def integrand_for(id: str, params: dict):
@@ -174,11 +190,9 @@ def integrand_for(id: str, params: dict):
 
     Returns ``(components, (a, b))`` where components is a list of
     ``(weight, Integrand)`` pairs whose weighted integrals sum to the
-    catalog value.  Every entry except I21 has a single unit-weight
-    component.
+    catalog value: one per phase of the entry, each with its weight.
     """
-    entry = _require(id)
-    _check_params(entry, params)
+    entry = _entry(id, params)
     bound = {p: float(params[p]) for p in entry.params}
     f_fn = exprmod.compile_fn(entry.f_expr, bound)
     components = [
@@ -186,7 +200,7 @@ def integrand_for(id: str, params: dict):
                                  kernel=entry.kernel))
         for g in entry.phases
     ]
-    return components, domain_for(id, params)
+    return components, _domain(entry, params)
 
 
 def evaluate_levin(id: str, params: dict,
@@ -215,32 +229,18 @@ def oracle_integrand(id: str, params: dict):
     split, so the reference route shares as little as possible with the
     collocation route.
     """
-    entry = _require(id)
-    _check_params(entry, params)
+    entry = _entry(id, params)
     bound = {p: float(params[p]) for p in entry.params}
-    if id == "I21":
-        m = bound["m"]
-        kappa = bound["kappa"]
-        alpha = bound["alpha"]
-        scale = 1.0 / (4.0 * math.pi ** 2)
-
-        def fn(x):
-            root = np.sqrt(1.0 - alpha * np.cos(x))
-            return scale * np.cos(m * x) * np.exp(-1j * kappa * root) / root
-
-        return fn, domain_for(id, params)
+    if entry.product is not None:
+        return entry.product(bound), _domain(entry, params)
     f_fn = exprmod.compile_fn(entry.f_expr, bound)
     g_fn = exprmod.compile_fn(entry.g_expr, bound)
-    if entry.kernel == "exp":
-        def fn(x):
-            return f_fn(x) * np.exp(1j * g_fn(x))
-    elif entry.kernel == "cos":
-        def fn(x):
-            return f_fn(x) * np.cos(g_fn(x))
-    else:
-        def fn(x):
-            return f_fn(x) * np.sin(g_fn(x))
-    return fn, domain_for(id, params)
+    kernel = _KERNELS[entry.kernel]
+
+    def fn(x):
+        return f_fn(x) * kernel(g_fn(x))
+
+    return fn, _domain(entry, params)
 
 
 def evaluate_oracle(id: str, params: dict, tol: float = 1e-15) -> QuadResult:

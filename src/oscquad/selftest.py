@@ -9,6 +9,7 @@ consistency.  The whole suite is sized to finish in a few seconds.
 from __future__ import annotations
 
 import numpy as np
+from numpy.polynomial.chebyshev import chebval
 
 from . import chebyshev, linalg, oracle
 from .adaptive import AdaptiveConfig, adaptive_integrate
@@ -47,8 +48,8 @@ def check_cheb_roundtrip():
     k = 12
     vals = rng.standard_normal(k)
     coeffs = chebyshev.cheb_coeffs(vals)
-    back = [chebyshev.cheb_eval(coeffs, t) for t in chebyshev.cheb_nodes(k)]
-    assert np.abs(np.asarray(back) - vals).max() <= 1e-13 * max(1.0, np.abs(vals).max())
+    back = chebval(chebyshev.cheb_nodes(k), coeffs)
+    assert np.abs(back - vals).max() <= 1e-13 * max(1.0, np.abs(vals).max())
 
 
 def check_gauss_rules():

@@ -112,8 +112,9 @@ def test_svd_and_qr_drivers_agree():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        AdaptiveConfig(eps=0.0)
+    for eps in (0.0, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            AdaptiveConfig(eps=eps)
     with pytest.raises(ValueError):
         AdaptiveConfig(k=3)
     with pytest.raises(ValueError):

@@ -209,6 +209,11 @@ BAD_INPUTS = [
     ["compare", "--paper-integral", "I6", "--ranges", "10:1"],
     ["integrate", "--paper-integral", "I1", "--param", "lambda=2", "--k", "3"],
     ["integrate", "--paper-integral", "I1", "--param", "lambda=2", "--eps", "0"],
+    ["integrate", "--paper-integral", "I1", "--param", "lambda=1000", "--eps", "inf"],
+    ["integrate", "--paper-integral", "I21", "--param", "kappa=inf", "--param", "m=2",
+     "--param", "alpha=0.5", "--eps-scale", "sqrt-kappa"],
+    ["compare", "--paper-integral", "I6", "--ranges", "1:10", "--oracle-tol", "inf"],
+    ["compare", "--paper-integral", "I1", "--ranges", "1e5:1e6", "--oracle-tol", "inf"],
     ["integrate", "--paper-integral", "I21", "--param", "kappa=-4", "--param", "m=2",
      "--param", "alpha=0.5", "--eps-scale", "sqrt-kappa"],
     ["compare", "--paper-integral", "I6", "--ranges", "1:10", "--samples", "0"],

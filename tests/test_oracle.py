@@ -80,5 +80,6 @@ def test_adaptive_counts_and_validation():
     assert res.intervals_used % 3 == 0
     with pytest.raises(ValueError):
         adaptive_gauss(np.exp, 1.0, 0.0)
-    with pytest.raises(ValueError):
-        adaptive_gauss(np.exp, 0.0, 1.0, tol=0.0)
+    for tol in (0.0, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            adaptive_gauss(np.exp, 0.0, 1.0, tol=tol)
