@@ -54,7 +54,7 @@ class AdaptiveConfig:
         if self.k < 4:
             raise ValueError("collocation order must be >= 4")
         if self.solver not in SOLVERS:
-            raise ValueError(f"solver must be 'qr' or 'svd', got {self.solver!r}")
+            raise ValueError(f"solver must be one of {SOLVERS}, got {self.solver!r}")
 
 
 @dataclass(frozen=True)

@@ -107,8 +107,8 @@ def _count(text):
 def _config(args, params) -> AdaptiveConfig:
     eps = args.eps
     if args.eps_scale == "sqrt-kappa":
-        if not params.get("kappa", 0.0) > 0.0:
-            raise ValueError("--eps-scale sqrt-kappa needs --param kappa=... > 0")
+        if not 0.0 < params.get("kappa", 0.0) < math.inf:
+            raise ValueError("--eps-scale sqrt-kappa needs a finite --param kappa=... > 0")
         eps = EPS0 * float(np.sqrt(params["kappa"]))
     return AdaptiveConfig(eps=eps, k=args.k, solver=args.solver)
 

@@ -121,7 +121,7 @@ def _solve_panel(fs, gprime, diff, half, solver, want_conj):
             factors = linalg.svd(a)
             norm_proxy, apply = factors.sigma[0], linalg.tsvd_apply
         else:
-            raise ValueError(f"solver must be 'qr' or 'svd', got {solver!r}")
+            raise ValueError(f"solver must be one of {SOLVERS}, got {solver!r}")
         thr = linalg.EPS0 * float(norm_proxy)
         if thr <= 0.0:
             thr = np.finfo(np.float64).tiny

@@ -280,6 +280,12 @@ def test_integrate_eps_scale_sqrt_kappa(capsys):
                             "--param", "m=50", "--param", "alpha=0.5",
                             "--eps-scale", "sqrt-kappa"], capsys)
     assert code == 2  # kappa missing
+    code, _, err = run_cli(["integrate", "--paper-integral", "I21",
+                            "--param", "kappa=inf", "--param", "m=50",
+                            "--param", "alpha=0.5",
+                            "--eps-scale", "sqrt-kappa"], capsys)
+    assert code == 2
+    assert "needs a finite --param kappa" in err
 
 
 def test_integrate_nonconverged_exit1(capsys):

@@ -4,13 +4,14 @@ Run from the root of the repository:
 
     python3 tools/bench_record.py --parent <commit> --out BENCH_<n>.json
 
-For each workload it makes ``--runs`` untraced ``bench/run.py`` runs on
-the parent (a ``git archive`` of the commit in a temporary directory) and
-as many on the work tree, alternating which side goes first, then one
-traced run on the work tree.  The file holds every run's result (the last
-line of ``bench/run.py``, with its ``run`` line), the medians of each
-side's end-to-end metrics, the traced per-layer metrics, the
-``provenance`` line and the parent commit hash.  Runs go one at a time.
+For each workload at seed ``SEED`` it makes ``RUNS`` untraced
+``bench/run.py`` runs of the default length on the parent (a ``git
+archive`` of the commit in a temporary directory) and as many on the work
+tree, alternating which side goes first, then one traced run on the work
+tree.  The file holds every run's result (the last line of
+``bench/run.py``, with its ``run`` line), the medians of each side's
+end-to-end metrics, the traced per-layer metrics, the ``provenance`` line
+and the parent commit hash.  Runs go one at a time.
 """
 
 import argparse
@@ -23,12 +24,14 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("closed-sweep", "stationary-deep", "reference-table")
+RUNS = 3
+SEED = 1
 
 
-def bench(checkout, workload, seed, seconds, trace):
+def bench(checkout, workload, trace):
     """One bench/run.py run: (result, run info, provenance)."""
-    cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", str(trace)]
+    cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(SEED),
+           "--trace", str(trace)]
     out = subprocess.run(cmd, cwd=checkout, check=True, capture_output=True,
                          text=True).stdout.splitlines()
     lines = {line.split(" ", 1)[0]: json.loads(line.split(" ", 1)[1])
@@ -45,15 +48,11 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="commit to compare against")
     parser.add_argument("--out", required=True, help="output JSON path")
-    parser.add_argument("--runs", type=int, default=3, help="untraced runs per side")
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=20.0)
     args = parser.parse_args(argv)
 
     parent = subprocess.run(["git", "rev-parse", args.parent], cwd=ROOT, check=True,
                             capture_output=True, text=True).stdout.strip()
-    doc = {"parent": parent, "seed": args.seed, "seconds": args.seconds,
-           "runs_per_side": args.runs, "workloads": {}}
+    doc = {"parent": parent, "seed": SEED, "runs_per_side": RUNS, "workloads": {}}
     with tempfile.TemporaryDirectory() as tmp:
         archive = subprocess.run(["git", "archive", parent], cwd=ROOT, check=True,
                                  capture_output=True).stdout
@@ -61,15 +60,14 @@ def main(argv=None):
         sides = {"parent": Path(tmp), "change": ROOT}
         for workload in WORKLOADS:
             runs = {"parent": [], "change": []}
-            for i in range(args.runs):
+            for i in range(RUNS):
                 order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
                 for side in order:
-                    result, info, doc["provenance"] = bench(
-                        sides[side], workload, args.seed, args.seconds, 0)
+                    result, info, doc["provenance"] = bench(sides[side], workload, 0)
                     runs[side].append(dict(result, run=info))
                     print(workload, side, i, json.dumps(result["metrics"]["integrals_per_s"]),
                           file=sys.stderr)
-            traced, info, _ = bench(ROOT, workload, args.seed, args.seconds, 1)
+            traced, info, _ = bench(ROOT, workload, 1)
             doc["workloads"][workload] = {
                 side: {"runs": runs[side], "median": medians(runs[side])} for side in runs}
             doc["workloads"][workload]["change_traced"] = dict(traced, run=info)
