@@ -9,7 +9,7 @@ frequency and across stationary points of the phase.
 
 from .adaptive import AdaptiveConfig, QuadResult, adaptive_integrate
 from .chebyshev import ChebGrid, cheb_coeffs, cheb_nodes, diff_matrix, grid
-from .levin import Integrand, LevinLocalResult, PanelError, levin_panel, weighted_value
+from .levin import Integrand, LevinLocalResult, PanelError, levin_panel
 from .linalg import SvdFactors, qr_apply, qr_factor, svd, tsvd_apply
 from .oracle import GaussRule, adaptive_gauss, gauss_rule
 from .reference import CATALOG, closed_form_value, evaluate_levin, evaluate_oracle, integrand_for
@@ -29,7 +29,6 @@ __all__ = [
     "LevinLocalResult",
     "PanelError",
     "levin_panel",
-    "weighted_value",
     "SvdFactors",
     "qr_apply",
     "qr_factor",

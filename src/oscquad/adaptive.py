@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import chebyshev, linalg
-from .levin import SOLVERS, Integrand, PanelError, panel_trio
+from .levin import SOLVERS, Integrand, PanelError, check_domain, panel_trio
 
 MAX_INTERVALS = 2 ** 20
 MIN_WIDTH_FACTOR = 16.0 * linalg.EPS0
@@ -131,8 +131,7 @@ def _run_worklist(trio, a: float, b: float, eps: float) -> QuadResult:
 def adaptive_integrate(integrand: Integrand, a: float, b: float,
                        config: AdaptiveConfig | None = None) -> QuadResult:
     """Adaptively evaluate the integral of f * kernel(g) over [a, b]."""
-    if not (np.isfinite(a) and np.isfinite(b) and a < b):
-        raise ValueError(f"need finite a < b, got [{a}, {b}]")
+    check_domain(a, b)
     if config is None:
         config = AdaptiveConfig()
     grid = chebyshev.grid(config.k)

@@ -16,8 +16,9 @@ failed), 2 bad input.  Bad input is a flag argparse rejects (it also
 checks the catalog id and the ranges of --decades, --ranges, --count,
 --samples and --oracle-tol) or a ValueError raised while the command
 runs: an expression that does not parse, a catalog parameter that is
-missing or that the integral does not take (given, swept or gridded), a
-tolerance ``AdaptiveConfig`` rejects.  ``main`` prints the message to
+missing, not finite or not taken by the integral (given, swept or
+gridded), a catalog id with any expression flag, a domain of infinite
+width, a tolerance ``AdaptiveConfig`` rejects.  ``main`` prints the message to
 stderr and returns the code instead of raising.  All floating-point
 output is rendered with 17 significant digits so values round-trip exactly.
 """
@@ -121,10 +122,14 @@ def _expr_integrand(args, params) -> Integrand:
 
         def f_fn(x):
             return f_re(x) + 1j * f_im(x)
-    return Integrand(f=f_fn, g=g_fn, kernel=args.kernel)
+    return Integrand(f=f_fn, g=g_fn, kernel=args.kernel or "exp")
 
 
 def cmd_integrate(args) -> int:
+    given = [flag for flag in ("--f", "--f-imag", "--g", "--a", "--b", "--kernel")
+             if getattr(args, flag[2:].replace("-", "_")) is not None]
+    if args.paper_integral and given:
+        raise ValueError(f"--paper-integral takes none of {', '.join(given)}")
     params = dict(args.param or ())
     config = _config(args, params)
     t0 = time.perf_counter()
@@ -292,7 +297,7 @@ def main(argv=None) -> int:
     p.add_argument("--g", help="phase g(x) as an expression")
     p.add_argument("--a", type=float, help="lower endpoint")
     p.add_argument("--b", type=float, help="upper endpoint")
-    p.add_argument("--kernel", choices=KERNELS, default="exp")
+    p.add_argument("--kernel", choices=KERNELS, help="oscillator kernel (default exp)")
     _add_catalog_id(p)
     _add_common(p)
     p.set_defaults(func=cmd_integrate)

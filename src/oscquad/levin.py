@@ -21,14 +21,16 @@ per-panel error estimate is produced; error control belongs entirely to
 the adaptive driver.
 
 cos- and sin-kernel integrals reuse the exp-kernel machinery: for real f
-they are the real and imaginary parts of the exp-kernel estimate, and for
-complex f a second solve against conj(f) supplies the estimate for the
-opposite-sign phase.
+they are the real and imaginary parts of the exp-kernel estimate E(g), and
+for complex f a second apply against conj(f) gives E(-g) = conj(E_conj(g)),
+so cos -> (E(g) + E(-g))/2 and sin -> (E(g) - E(-g))/(2i).
+
+``panel_values`` evaluates many panels (spans) as one stacked operation;
+only the truncated solve and the endpoint product run span by span.
 """
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 from typing import Callable
 
@@ -76,43 +78,19 @@ class LevinLocalResult:
     rank_used: int
 
 
-def weighted_value(p_endpoints, g_endpoints, kernel: str, conj_p_endpoints=None) -> complex:
-    """Assemble the panel value for the requested kernel.
+def check_domain(a: float, b: float) -> None:
+    """Reject [a, b] unless a < b and the width b - a (so a and b) is finite."""
+    if not (float(a) < float(b) and np.isfinite(float(b) - float(a))):
+        raise ValueError(f"need finite a < b with a finite width b - a, got [{a}, {b}]")
 
-    ``p_endpoints`` are (p(a0), p(b0)) from the exp-kernel solve and
-    ``g_endpoints`` the sampled (g(a0), g(b0)); the oscillator phases are
-    taken from the sampled g values, consistent with the collocation.  For
-    cos/sin with real f the result is the real/imaginary part of the
-    exp-kernel estimate.  For complex f, ``conj_p_endpoints`` must hold the
-    endpoints of the companion solve against conj(f), from which the
-    opposite-phase estimate E(-g) = conj(E_conj(g)) is assembled; then
-    cos -> (E(g)+E(-g))/2 and sin -> (E(g)-E(-g))/(2i).
+
+def _solve_panel(a, fs, solver, want_conj):
+    """Truncated solve of one panel's collocation matrix ``a`` against f.
+
+    Directions below EPS0 times the matrix-norm proxy (the leading
+    R-diagonal entry or singular value) are dropped.  Returns
+    (p, p_conj_or_None, rank).
     """
-    ea = np.exp(1j * g_endpoints[0])
-    eb = np.exp(1j * g_endpoints[1])
-    value = p_endpoints[1] * eb - p_endpoints[0] * ea
-    if kernel == "exp":
-        return complex(value)
-    if conj_p_endpoints is None:
-        return complex(value.real) if kernel == "cos" else complex(value.imag)
-    value_neg = np.conj(conj_p_endpoints[1] * eb - conj_p_endpoints[0] * ea)
-    if kernel == "cos":
-        return complex(0.5 * (value + value_neg))
-    return complex((value - value_neg) / 2j)
-
-
-def _solve_panel(fs, gprime, diff, half, solver, want_conj):
-    """Collocation solve on one panel given its f samples and finite g'.
-
-    ``diff`` is the reference differentiation matrix and ``half`` the panel
-    half-width; the mapped matrix is diff/half.  Directions below EPS0 times
-    the matrix-norm proxy (the leading R-diagonal entry or singular value)
-    are dropped.  Returns (p, p_conj_or_None, rank).
-    """
-    a = (diff / half).astype(np.complex128)
-    k = a.shape[0]
-    # a is C-contiguous, so reshape gives a view; a.flat would be slower
-    a.reshape(-1)[:: k + 1] += 1j * gprime
     try:
         if solver == "qr":
             factors = linalg.qr_factor(a)
@@ -141,8 +119,10 @@ def panel_values(integrand: Integrand, spans, grid: chebyshev.ChebGrid, solver: 
     non-finite is re-evaluated once, shifted toward the interior of its own
     span by NUDGE_FACTOR times that span's width; a sample still non-finite
     raises PanelError, as do a g' that overflows (before any span is
-    factored, whatever the solver) and a non-finite estimate.  Returns
-    (values, ranks, nevals).
+    factored, whatever the solver) and a non-finite estimate (once every
+    span is solved).  g', the matrices D/h + i diag(g'), the endpoint
+    phases, the real-f cos/sin projection and the finiteness check are each
+    computed once over all spans.  Returns (values, ranks, nevals).
     """
     spans = np.asarray(spans, dtype=np.float64)
     lo, hi = spans[:, 0], spans[:, 1]
@@ -170,33 +150,42 @@ def panel_values(integrand: Integrand, spans, grid: chebyshev.ChebGrid, solver: 
             if not (np.all(np.isfinite(fs[idx])) and np.all(np.isfinite(gs[idx]))):
                 raise PanelError(f"non-finite sample in {spans.tolist()} after nudge")
         gs = gs.reshape(-1, k)
-        gprime = np.empty_like(gs)
-        for i, h in enumerate(half):
-            gprime[i] = (grid.diff @ gs[i]) / h
+        # rounds like grid.diff @ gs[i]; gs @ grid.diff.T and einsum do not
+        gprime = np.matmul(grid.diff, gs[:, :, None])[:, :, 0] / half[:, None]
     if not np.isfinite(gprime).all():
         raise PanelError(f"non-finite g' in {spans.tolist()}: "
                          "the collocation matrix overflows")
-    want_conj = integrand.kernel != "exp" and bool(np.any(fs.imag))
-    values, ranks = [], []
+    fs = fs.reshape(-1, k)
+    a = (grid.diff / half[:, None, None]).astype(np.complex128)
+    # a is C-contiguous, so reshape gives a view of every diagonal
+    a.reshape(a.shape[0], -1)[:, :: k + 1] += 1j * gprime
+    ea, eb = np.exp(1j * gs[:, 0]), np.exp(1j * gs[:, -1])
+    kernel = integrand.kernel
+    want_conj = kernel != "exp" and bool(np.any(fs.imag))
+    values = np.empty(spans.shape[0], dtype=np.complex128)
+    ranks = []
     for i in range(spans.shape[0]):
-        p, pc, rank = _solve_panel(fs[i * k:(i + 1) * k], gprime[i], grid.diff,
-                                   half[i], solver, want_conj)
-        pc_ends = (pc[0], pc[-1]) if pc is not None else None
-        value = weighted_value((p[0], p[-1]), (gs[i, 0], gs[i, -1]),
-                               integrand.kernel, pc_ends)
-        if not cmath.isfinite(value):
-            raise PanelError(f"non-finite panel estimate on {spans[i].tolist()}")
-        values.append(value)
+        p, pc, rank = _solve_panel(a[i], fs[i], solver, want_conj)
+        # scalar products: numpy's array complex multiply rounds differently
+        value = p[-1] * eb[i] - p[0] * ea[i]
+        if want_conj:
+            value_neg = np.conj(pc[-1] * eb[i] - pc[0] * ea[i])
+            value = 0.5 * (value + value_neg) if kernel == "cos" else (value - value_neg) / 2j
+        values[i] = value
         ranks.append(rank)
-    return values, ranks, nevals
+    if kernel != "exp" and not want_conj:
+        values = (values.real if kernel == "cos" else values.imag).astype(np.complex128)
+    finite = np.isfinite(values)
+    if not finite.all():
+        raise PanelError(f"non-finite panel estimate on {spans[np.argmin(finite)].tolist()}")
+    return values.tolist(), ranks, nevals
 
 
 def levin_panel(integrand: Integrand, a0: float, b0: float,
                 grid: chebyshev.ChebGrid | None = None,
                 solver: str = "qr") -> LevinLocalResult:
     """Estimate the integral of f * kernel(g) over a single panel [a0, b0]."""
-    if not (np.isfinite(a0) and np.isfinite(b0) and a0 < b0):
-        raise ValueError(f"need finite a0 < b0, got [{a0}, {b0}]")
+    check_domain(a0, b0)
     if grid is None:
         grid = chebyshev.grid()
     values, ranks, _ = panel_values(integrand, ((a0, b0),), grid, solver)

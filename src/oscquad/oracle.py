@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from .adaptive import QuadResult, _run_worklist
-from .levin import PanelError
+from .levin import PanelError, check_domain
 
 _MAX_POINTS = 200
 _POINTS = 30  # Gauss-Legendre points per adaptive_gauss panel
@@ -93,8 +93,7 @@ def adaptive_gauss(fn: Callable[[np.ndarray], np.ndarray], a: float, b: float,
     the reference value does not limit comparisons.  The interval budget
     and width floor are those of the collocation driver.
     """
-    if not (np.isfinite(a) and np.isfinite(b) and a < b):
-        raise ValueError(f"need finite a < b, got [{a}, {b}]")
+    check_domain(a, b)
     if not (tol > 0.0 and np.isfinite(tol)):
         raise ValueError("tol must be finite and > 0")
     n = _POINTS

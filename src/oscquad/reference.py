@@ -149,14 +149,16 @@ _KERNELS = {"exp": lambda g: np.exp(1j * g), "cos": np.cos, "sin": np.sin}
 
 
 def _entry(id: str, params: dict) -> NamedIntegral:
-    """The record of ``id``, once its parameter names are checked."""
+    """The record of ``id``, once its parameter names and values are checked."""
     entry = CATALOG.get(id)
     if entry is None:
         raise KeyError(f"unknown integral id {id!r}; known: {sorted(CATALOG)}")
-    for name in params:
+    for name, value in params.items():
         if name not in entry.params:
             raise ValueError(f"{id} has no parameter {name!r}; "
                              f"it takes {', '.join(entry.params)}")
+        if not math.isfinite(value):
+            raise ValueError(f"{id} needs a finite {name}, got {value}")
     missing = [p for p in entry.params if p not in params]
     if missing:
         raise ValueError(f"{id} needs parameter(s) {missing}")
@@ -170,11 +172,6 @@ def _domain(entry: NamedIntegral, params: dict) -> tuple:
     if lam <= 0:
         raise ValueError(f"{entry.id} needs lambda > 0")
     return entry.domain(lam)
-
-
-def domain_for(id: str, params: dict) -> tuple:
-    """Integration domain, applying the documented truncation rules."""
-    return _domain(_entry(id, params), params)
 
 
 def closed_form_value(id: str, params: dict) -> complex:

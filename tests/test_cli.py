@@ -1,3 +1,4 @@
+import cmath
 import csv
 import io
 import json
@@ -223,6 +224,13 @@ BAD_INPUTS = [
      "--param", "kappa=10", "--param", "m=2", "--param", "alpha=0.5"],
     ["integrate", "--paper-integral", "I1", "--param", "lambda=5", "--param", "mu=3"],
     ["sweep", "--paper-integral", "I1", "--param", "mu=3"],
+    ["integrate", "--paper-integral", "I1", "--param", "lambda=5", "--kernel", "sin",
+     "--f", "x"],
+    ["integrate", "--paper-integral", "I1", "--param", "lambda=5", "--kernel", "exp"],
+    ["integrate", "--paper-integral", "I1", "--param", "lambda=nan"],
+    ["sweep", "--paper-integral", "I9", "--param", "m=inf", "--count", "2"],
+    ["sweep", "--paper-integral", "I9", "--grid-param", "m=inf", "--count", "2"],
+    ["integrate", "--f", "exp(-x^2)", "--g", "0", "--a=-1e308", "--b=1e308"],
 ]
 
 
@@ -245,6 +253,21 @@ def test_unknown_integral_one_message(capsys):
     assert message.startswith("argument --paper-integral: invalid choice: 'I99'")
 
 
+def test_negative_values_need_the_equals_form(capsys):
+    # argparse reads a bare -1:0 or -1e3 as a flag, so these use NAME=VALUE
+    code, out, _ = run_cli(["sweep", "--paper-integral", "I1", "--decades=-1:0",
+                            "--count", "2", "--no-timing"], capsys)
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert [float(row["lambda"]) for row in rows] == pytest.approx([0.1, 1.0])
+    code, out, _ = run_cli(["integrate", "--f", "1", "--g", "x", "--a=-1e3", "--b", "1"],
+                           capsys)
+    assert code == 0
+    doc = json.loads(out)
+    want = (cmath.exp(1j) - cmath.exp(-1e3j)) / 1j
+    assert abs(complex(doc["value_re"], doc["value_im"]) - want) <= 1e-12
+
+
 def test_integrate_complex_f(capsys):
     # f = cos(x) + i sin(x) = e^{ix}, flat phase: int_0^1 e^{ix} dx
     code, out, _ = run_cli(["integrate", "--f", "cos(x)", "--f-imag", "sin(x)",
@@ -263,7 +286,6 @@ def test_integrate_complex_f_cos_kernel(capsys):
                             "--kernel", "cos"], capsys)
     assert code == 0
     doc = json.loads(out)
-    import cmath
     want = ((cmath.exp(51j) - 1) / (2 * 51j) + (cmath.exp(-49j) - 1) / (2 * -49j))
     assert abs(complex(doc["value_re"], doc["value_im"]) - want) <= 1e-12
 

@@ -4,8 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from oscquad import (Integrand, PanelError, adaptive_gauss, chebyshev, levin_panel,
-                     weighted_value)
+from oscquad import Integrand, PanelError, adaptive_gauss, chebyshev, levin_panel
 from oscquad.levin import NUDGE_FACTOR, panel_trio, panel_values
 
 
@@ -58,36 +57,21 @@ def test_weighted_value_real_f():
     assert abs(res.value - want) <= 1e-14
 
 
-def test_weighted_value_assembly():
-    pa, pb = 0.3 + 0.1j, -0.2 + 0.4j
-    ga, gb = 0.7, 2.1
-    ea, eb = np.exp(1j * ga), np.exp(1j * gb)
-    e_val = pb * eb - pa * ea
-    assert weighted_value((pa, pb), (ga, gb), "exp") == pytest.approx(e_val)
-    assert weighted_value((pa, pb), (ga, gb), "cos") == pytest.approx(e_val.real)
-    assert weighted_value((pa, pb), (ga, gb), "sin") == pytest.approx(e_val.imag)
-    # complex-f path: conjugate-solve endpoints supply E(-g)
-    qa, qb = 0.5 - 0.2j, 0.1 + 0.9j
-    e_neg = np.conj(qb * eb - qa * ea)
-    got = weighted_value((pa, pb), (ga, gb), "cos", (qa, qb))
-    assert got == pytest.approx(0.5 * (e_val + e_neg))
-    got = weighted_value((pa, pb), (ga, gb), "sin", (qa, qb))
-    assert got == pytest.approx((e_val - e_neg) / 2j)
-
-
 def test_complex_f_cos_kernel_against_two_phase_average():
-    # int f*cos(g) for complex f must equal (E(g) + E(-g))/2 with both
-    # sides computed as exp-kernel panels
+    # int f*cos(g) for complex f must equal (E(g) + E(-g))/2, and int
+    # f*sin(g) must equal (E(g) - E(-g))/(2i), with E(g) and E(-g)
+    # computed as exp-kernel panels
     def f(x):
         return np.exp(-x) + 1j * x
 
     def g(x):
         return 40.0 * x + 3.0 * x ** 2
 
-    res = levin_panel(Integrand(f=f, g=g, kernel="cos"), -1.0, 1.0)
     e_pos = levin_panel(Integrand(f=f, g=g), -1.0, 1.0).value
     e_neg = levin_panel(Integrand(f=f, g=lambda x: -g(x)), -1.0, 1.0).value
-    assert abs(res.value - 0.5 * (e_pos + e_neg)) <= 1e-12
+    for kernel, want in (("cos", 0.5 * (e_pos + e_neg)), ("sin", (e_pos - e_neg) / 2j)):
+        res = levin_panel(Integrand(f=f, g=g, kernel=kernel), -1.0, 1.0)
+        assert abs(res.value - want) <= 1e-12, kernel
 
 
 def test_conjugation_symmetry():

@@ -78,8 +78,9 @@ def test_adaptive_counts_and_validation():
     res = adaptive_gauss(lambda x: np.sin(3 * x) ** 2, 0.0, 2.0)
     assert res.fevals % 90 == 0
     assert res.intervals_used % 3 == 0
-    with pytest.raises(ValueError):
-        adaptive_gauss(np.exp, 1.0, 0.0)
+    for a, b in ((1.0, 0.0), (-1e308, 1e308)):
+        with pytest.raises(ValueError):
+            adaptive_gauss(np.exp, a, b)
     for tol in (0.0, math.inf, math.nan):
         with pytest.raises(ValueError):
             adaptive_gauss(np.exp, 0.0, 1.0, tol=tol)

@@ -6,8 +6,8 @@ import pytest
 
 from oscquad import adaptive_gauss
 from oscquad import reference
-from oscquad.reference import (GAMMA_5_4, closed_form_value, domain_for,
-                               evaluate_levin, evaluate_oracle, integrand_for)
+from oscquad.reference import (GAMMA_5_4, closed_form_value, evaluate_levin,
+                               evaluate_oracle, integrand_for)
 
 
 def test_gamma_constant_cross_check():
@@ -71,20 +71,21 @@ def test_integrand_components():
 
 
 def test_unknown_parameter_rejected_on_every_route():
-    params = {"lambda": 5.0, "mu": 3.0}
-    message = "I1 has no parameter 'mu'; it takes lambda"
-    for route in (integrand_for, evaluate_levin, evaluate_oracle, domain_for,
-                  closed_form_value):
-        with pytest.raises(ValueError) as exc:
-            route("I1", params)
-        assert str(exc.value) == message, route.__name__
+    for params, message in (
+            ({"lambda": 5.0, "mu": 3.0}, "I1 has no parameter 'mu'; it takes lambda"),
+            ({"lambda": math.nan}, "I1 needs a finite lambda, got nan"),
+            ({"lambda": -math.inf}, "I1 needs a finite lambda, got -inf")):
+        for route in (integrand_for, evaluate_levin, evaluate_oracle, closed_form_value):
+            with pytest.raises(ValueError) as exc:
+                route("I1", params)
+            assert str(exc.value) == message, route.__name__
 
 
 def test_truncated_domains_scale_with_lambda():
-    a, b = domain_for("I2", {"lambda": 10.0})
+    a, b = integrand_for("I2", {"lambda": 10.0})[1]
     assert a == 0.0
     assert b == pytest.approx((1e13 / 10.0) ** (1 / 3))
-    a, b = domain_for("I3", {"lambda": 100.0})
+    a, b = integrand_for("I3", {"lambda": 100.0})[1]
     assert (a, b) == (1.0, 4e11)
 
 

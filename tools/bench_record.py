@@ -12,6 +12,13 @@ tree.  The file holds every run's result (the last line of
 ``bench/run.py``, with its ``run`` line), the medians of each side's
 end-to-end metrics, the traced per-layer metrics, the ``provenance`` line
 and the parent commit hash.  Runs go one at a time.
+
+For each end-to-end metric of ``BENCHMARK.json`` the file also records,
+per workload, the change/parent median ratio, the metric's bound and
+whether the change stays within it: no worse than the parent's median by
+more than ``bound`` times that median, in the metric's ``better``
+direction.  After writing the file the tool prints every metric outside
+its bound to stderr and exits 1.
 """
 
 import argparse
@@ -23,7 +30,8 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-WORKLOADS = ("closed-sweep", "stationary-deep", "reference-table")
+SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
+WORKLOADS = tuple(w["name"] for w in SPEC["workloads"])
 RUNS = 3
 SEED = 1
 
@@ -42,6 +50,19 @@ def bench(checkout, workload, trace):
 def medians(results):
     return {name: statistics.median(r["metrics"][name]["value"] for r in results)
             for name in results[0]["metrics"]}
+
+
+def bound_check(parent, change):
+    """Per end-to-end metric: change/parent ratio, bound and whether it holds."""
+    checks = {}
+    for metric in SPEC["end_to_end"]:
+        name, bound, better = metric["name"], metric["bound"], metric["better"]
+        old, new = parent[name], change[name]
+        within = (new <= old * (1 + bound) if better == "lower"
+                  else new >= old * (1 - bound))
+        checks[name] = {"ratio": new / old if old else None, "bound": bound,
+                        "better": better, "within": within}
+    return checks
 
 
 def main(argv=None):
@@ -68,11 +89,19 @@ def main(argv=None):
                     print(workload, side, i, json.dumps(result["metrics"]["integrals_per_s"]),
                           file=sys.stderr)
             traced, info, _ = bench(ROOT, workload, 1)
-            doc["workloads"][workload] = {
-                side: {"runs": runs[side], "median": medians(runs[side])} for side in runs}
-            doc["workloads"][workload]["change_traced"] = dict(traced, run=info)
+            entry = {side: {"runs": runs[side], "median": medians(runs[side])}
+                     for side in runs}
+            entry["change_traced"] = dict(traced, run=info)
+            entry["bounds"] = bound_check(entry["parent"]["median"],
+                                          entry["change"]["median"])
+            doc["workloads"][workload] = entry
     Path(args.out).write_text(json.dumps(doc, indent=1) + "\n")
-    return 0
+    outside = [(workload, name, check) for workload, entry in doc["workloads"].items()
+               for name, check in entry["bounds"].items() if not check["within"]]
+    for workload, name, check in outside:
+        print(f"{workload}: {name} is outside its bound: change/parent = {check['ratio']}, "
+              f"bound {check['bound']}, {check['better']} is better", file=sys.stderr)
+    return 1 if outside else 0
 
 
 if __name__ == "__main__":
