@@ -158,10 +158,15 @@ def _runs(args, name, values, grid=None):
 
     Parameter ``name`` takes each of ``values`` in turn, inside an outer
     loop over the optional ``grid`` pair (NAME, [values]); the rest come
-    from --param.  Yields (params, result, seconds), timing the evaluation
-    alone.
+    from --param, which may set neither.  Yields (params, result, seconds),
+    timing the evaluation alone.
     """
     grid_name, grid_values = grid or (None, [None])
+    for taken, what in ((name, "the swept parameter"), (grid_name, "the --grid-param one")):
+        if taken in dict(args.param or ()):
+            raise ValueError(f"--param {taken}: {taken} is {what}")
+    if grid_name == name:
+        raise ValueError(f"--grid-param {name}: {name} is the swept parameter")
     for grid_value in grid_values:
         for value in values:
             params = dict(args.param or ())

@@ -26,11 +26,16 @@ for complex f a second apply against conj(f) gives E(-g) = conj(E_conj(g)),
 so cos -> (E(g) + E(-g))/2 and sin -> (E(g) - E(-g))/(2i).
 
 ``panel_values`` evaluates many panels (spans) as one stacked operation;
-only the truncated solve and the endpoint product run span by span.
+only the truncated solve and the endpoint product run span by span.  The
+product stays per span, in Python ``complex``: numpy's array complex
+multiply rounds differently from its scalar multiply, while Python's
+complex multiply rounds like the scalar one, so each value keeps the bits
+of a plain per-span evaluation.
 """
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from typing import Callable
 
@@ -45,6 +50,9 @@ SOLVERS = ("qr", "svd")
 # to re-evaluate an endpoint whose sample came back non-finite (integrable
 # endpoint singularities such as x**-0.5 at 0).
 NUDGE_FACTOR = 2.0 ** -46
+
+# Threshold for a solve whose norm proxy is 0 (an all-zero matrix).
+_TINY = float(np.finfo(np.float64).tiny)
 
 
 class PanelError(Exception):
@@ -84,32 +92,6 @@ def check_domain(a: float, b: float) -> None:
         raise ValueError(f"need finite a < b with a finite width b - a, got [{a}, {b}]")
 
 
-def _solve_panel(a, fs, solver, want_conj):
-    """Truncated solve of one panel's collocation matrix ``a`` against f.
-
-    Directions below EPS0 times the matrix-norm proxy (the leading
-    R-diagonal entry or singular value) are dropped.  Returns
-    (p, p_conj_or_None, rank).
-    """
-    try:
-        if solver == "qr":
-            factors = linalg.qr_factor(a)
-            norm_proxy, apply = factors.rdiag[0], linalg.qr_apply
-        elif solver == "svd":
-            factors = linalg.svd(a)
-            norm_proxy, apply = factors.sigma[0], linalg.tsvd_apply
-        else:
-            raise ValueError(f"solver must be one of {SOLVERS}, got {solver!r}")
-        thr = linalg.EPS0 * float(norm_proxy)
-        if thr <= 0.0:
-            thr = np.finfo(np.float64).tiny
-        p, rank = apply(factors, fs, thr)
-        pc = apply(factors, np.conj(fs), thr)[0] if want_conj else None
-    except linalg.LinalgError as exc:
-        raise PanelError(str(exc)) from exc
-    return p, pc, rank
-
-
 def panel_values(integrand: Integrand, spans, grid: chebyshev.ChebGrid, solver: str):
     """Panel estimates over each (a, b) in ``spans`` from one sampling pass.
 
@@ -120,17 +102,21 @@ def panel_values(integrand: Integrand, spans, grid: chebyshev.ChebGrid, solver: 
     span by NUDGE_FACTOR times that span's width; a sample still non-finite
     raises PanelError, as do a g' that overflows (before any span is
     factored, whatever the solver) and a non-finite estimate (once every
-    span is solved).  g', the matrices D/h + i diag(g'), the endpoint
-    phases, the real-f cos/sin projection and the finiteness check are each
-    computed once over all spans.  Returns (values, ranks, nevals).
+    span is solved).  g', the matrices D/h + i diag(g') and the endpoint
+    phases are each computed once over all spans; each span's truncated
+    solve drops the directions below EPS0 times its matrix-norm proxy (the
+    leading R-diagonal entry or singular value).  Returns (values, ranks,
+    nevals).
     """
+    if solver not in SOLVERS:
+        raise ValueError(f"solver must be one of {SOLVERS}, got {solver!r}")
     spans = np.asarray(spans, dtype=np.float64)
     lo, hi = spans[:, 0], spans[:, 1]
     half = 0.5 * (hi - lo)
-    k = grid.k
-    xs = grid.nodes * half[:, None] + (lo + half)[:, None]
-    xs[:, 0] = lo
-    xs[:, -1] = hi
+    n, k = spans.shape[0], grid.k
+    xs = np.multiply.outer(half, grid.nodes)
+    xs += (lo + half)[:, None]
+    xs[:, :: k - 1] = spans
     xs = xs.ravel()
     # f, g and g' may overflow or be undefined at a node; every non-finite
     # result is caught below, so numpy's warnings are silenced once for all.
@@ -138,9 +124,8 @@ def panel_values(integrand: Integrand, spans, grid: chebyshev.ChebGrid, solver: 
         fs = np.asarray(integrand.f(xs), dtype=np.complex128)
         gs = np.asarray(integrand.g(xs), dtype=np.float64)
         nevals = xs.shape[0]
-        bad = ~(np.isfinite(fs) & np.isfinite(gs))
-        if bad.any():
-            idx = np.nonzero(bad)[0]
+        if not (np.isfinite(fs).all() and np.isfinite(gs).all()):
+            idx = np.nonzero(~(np.isfinite(fs) & np.isfinite(gs)))[0]
             span = idx // k
             step = NUDGE_FACTOR * (hi - lo)[span]
             moved = xs[idx] + np.where(xs[idx] <= 0.5 * (lo + hi)[span], step, -step)
@@ -149,36 +134,49 @@ def panel_values(integrand: Integrand, spans, grid: chebyshev.ChebGrid, solver: 
             nevals += idx.shape[0]
             if not (np.all(np.isfinite(fs[idx])) and np.all(np.isfinite(gs[idx]))):
                 raise PanelError(f"non-finite sample in {spans.tolist()} after nudge")
-        gs = gs.reshape(-1, k)
+        gs = gs.reshape(n, k, 1)
         # rounds like grid.diff @ gs[i]; gs @ grid.diff.T and einsum do not
-        gprime = np.matmul(grid.diff, gs[:, :, None])[:, :, 0] / half[:, None]
+        gprime = np.matmul(grid.diff, gs)[:, :, 0] / half[:, None]
     if not np.isfinite(gprime).all():
         raise PanelError(f"non-finite g' in {spans.tolist()}: "
                          "the collocation matrix overflows")
-    fs = fs.reshape(-1, k)
-    a = (grid.diff / half[:, None, None]).astype(np.complex128)
+    a = np.zeros((n, k, k), dtype=np.complex128)
+    np.divide(grid.diff, half[:, None, None], out=a.real)
     # a is C-contiguous, so reshape gives a view of every diagonal
-    a.reshape(a.shape[0], -1)[:, :: k + 1] += 1j * gprime
-    ea, eb = np.exp(1j * gs[:, 0]), np.exp(1j * gs[:, -1])
+    a.reshape(n, -1).imag[:, :: k + 1] = gprime
+    fs = fs.reshape(n, k)
+    phases = np.exp(1j * gs[:, :: k - 1, 0]).tolist()
     kernel = integrand.kernel
-    want_conj = kernel != "exp" and bool(np.any(fs.imag))
-    values = np.empty(spans.shape[0], dtype=np.complex128)
-    ranks = []
-    for i in range(spans.shape[0]):
-        p, pc, rank = _solve_panel(a[i], fs[i], solver, want_conj)
-        # scalar products: numpy's array complex multiply rounds differently
-        value = p[-1] * eb[i] - p[0] * ea[i]
-        if want_conj:
-            value_neg = np.conj(pc[-1] * eb[i] - pc[0] * ea[i])
-            value = 0.5 * (value + value_neg) if kernel == "cos" else (value - value_neg) / 2j
-        values[i] = value
-        ranks.append(rank)
-    if kernel != "exp" and not want_conj:
-        values = (values.real if kernel == "cos" else values.imag).astype(np.complex128)
-    finite = np.isfinite(values)
-    if not finite.all():
-        raise PanelError(f"non-finite panel estimate on {spans[np.argmin(finite)].tolist()}")
-    return values.tolist(), ranks, nevals
+    want_conj = kernel != "exp" and bool(fs.imag.any())
+    values, ranks = [], []
+    try:
+        for ai, fi, (ea, eb) in zip(a, fs, phases):
+            if solver == "qr":
+                factors = linalg.qr_factor(ai)
+                thr, apply = linalg.EPS0 * factors.rdiag.item(0), linalg.qr_apply
+            else:
+                factors = linalg.svd(ai)
+                thr, apply = linalg.EPS0 * factors.sigma.item(0), linalg.tsvd_apply
+            if thr <= 0.0:
+                thr = _TINY
+            p, rank = apply(factors, fi, thr)
+            # Python complex products round like numpy's scalar ones (module doc)
+            p0, p1 = p[:: k - 1].tolist()
+            value = p1 * eb - p0 * ea
+            if want_conj:
+                pc0, pc1 = apply(factors, fi.conj(), thr)[0][:: k - 1].tolist()
+                value_neg = (pc1 * eb - pc0 * ea).conjugate()
+                value = 0.5 * (value + value_neg) if kernel == "cos" else (value - value_neg) / 2j
+            elif kernel != "exp":
+                value = complex(value.real if kernel == "cos" else value.imag)
+            values.append(value)
+            ranks.append(rank)
+    except linalg.LinalgError as exc:
+        raise PanelError(str(exc)) from exc
+    for i, value in enumerate(values):
+        if not cmath.isfinite(value):
+            raise PanelError(f"non-finite panel estimate on {spans[i].tolist()}")
+    return values, ranks, nevals
 
 
 def levin_panel(integrand: Integrand, a0: float, b0: float,

@@ -15,12 +15,15 @@ factorization plus an apply step that takes the truncation threshold:
 The factorizations themselves come from LAPACK (via numpy/scipy); the
 truncation and retained-subspace logic lives here.  LAPACK routines are
 prebound at import time because these solves sit on the hot path of the
-adaptive integrator (thousands of 12 x 12 solves per integral).
+adaptive integrator (thousands of 12 x 12 solves per integral).  For the
+same reason ``QrFactors`` is a named tuple and ``qr_apply`` checks for
+full rank first.  No routine modifies its arguments.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -55,7 +58,7 @@ def svd(a: np.ndarray) -> SvdFactors:
     pathological input; callers abort the enclosing computation.
     """
     a = np.asarray(a, dtype=np.complex128)
-    if not np.all(np.isfinite(a.view(np.float64))):
+    if not np.isfinite(a).all():
         raise LinalgError("matrix has non-finite entries")
     try:
         u, s, vh = np.linalg.svd(a)
@@ -79,8 +82,7 @@ def tsvd_apply(factors: SvdFactors, y: np.ndarray, threshold: float):
     return factors.v[:, :rank] @ coef, rank
 
 
-@dataclass(frozen=True)
-class QrFactors:
+class QrFactors(NamedTuple):
     """Compact column-pivoted QR factorization A[:, perm] = Q R."""
 
     qr: np.ndarray      # packed Householder vectors + R (LAPACK layout)
@@ -90,11 +92,11 @@ class QrFactors:
 
 
 def qr_factor(a: np.ndarray) -> QrFactors:
-    a = np.asarray(a, dtype=np.complex128)
+    """Pivoted QR of ``a``, which is left unchanged (geqp3 factors a copy)."""
     qr, jpvt, tau, _work, info = _geqp3(a)
     if info != 0:
         raise LinalgError(f"geqp3 failed with info={info}")
-    return QrFactors(qr=qr, tau=tau, perm=jpvt - 1, rdiag=np.abs(np.diagonal(qr)))
+    return QrFactors(qr, tau, jpvt.astype(np.intp) - 1, np.abs(qr.diagonal()))
 
 
 def qr_apply(factors: QrFactors, y: np.ndarray, threshold: float):
@@ -108,8 +110,11 @@ def qr_apply(factors: QrFactors, y: np.ndarray, threshold: float):
     qr = factors.qr
     k = qr.shape[0]
     d = factors.rdiag
-    below = d < threshold
-    rank = k if not below.any() else int(np.argmax(below))
+    if d.min() >= threshold:  # full rank, the common case
+        rank = k
+    else:  # a NaN entry fails the min test but is not below the threshold
+        below = d < threshold
+        rank = k if not below.any() else int(np.argmax(below))
     x = np.zeros(k, dtype=np.complex128)
     if rank == 0:
         return x, 0
@@ -117,7 +122,7 @@ def qr_apply(factors: QrFactors, y: np.ndarray, threshold: float):
     if info != 0:
         raise LinalgError(f"unmqr failed with info={info}")
     if rank == k:
-        z, info = _trtrs(qr, c, lower=0)
+        z, info = _trtrs(qr, c, lower=0, overwrite_b=1)
         if info != 0:
             raise LinalgError(f"triangular solve failed with info={info}")
         x[factors.perm] = z[:, 0]

@@ -203,6 +203,19 @@ def test_selftest_injected_fault_fails(capsys, monkeypatch):
     assert selftest.run(out=io.StringIO()) == 0
 
 
+# A --param that names the swept or gridded parameter, or a grid over the
+# swept one, with the parameter the message must name.
+PARAM_CLASHES = [
+    (["sweep", "--paper-integral", "I1", "--param", "lambda=5", "--decades", "1:2",
+      "--count", "2"], "--param lambda"),
+    (["sweep", "--paper-integral", "I9", "--grid-param", "m=2", "--param", "m=7",
+      "--count", "2"], "--param m"),
+    (["compare", "--paper-integral", "I1", "--param", "lambda=5", "--ranges", "1:10"],
+     "--param lambda"),
+    (["sweep", "--paper-integral", "I9", "--param", "lambda=10", "--sweep", "m",
+      "--grid-param", "m=2,4", "--decades", "0:0.5", "--count", "2"], "--grid-param m"),
+]
+
 BAD_INPUTS = [
     ["sweep", "--paper-integral", "I9", "--grid-param", "m=abc"],
     ["sweep", "--paper-integral", "I1", "--repeats", "0"],
@@ -231,7 +244,7 @@ BAD_INPUTS = [
     ["sweep", "--paper-integral", "I9", "--param", "m=inf", "--count", "2"],
     ["sweep", "--paper-integral", "I9", "--grid-param", "m=inf", "--count", "2"],
     ["integrate", "--f", "exp(-x^2)", "--g", "0", "--a=-1e308", "--b=1e308"],
-]
+] + [argv for argv, _ in PARAM_CLASHES]
 
 
 @pytest.mark.parametrize("argv", BAD_INPUTS, ids=" ".join)
@@ -241,6 +254,13 @@ def test_bad_input_exit2(argv, capsys):
     assert out == ""
     assert "error: " in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, flag", PARAM_CLASHES,
+                         ids=[" ".join(argv) for argv, _ in PARAM_CLASHES])
+def test_param_clash_names_the_parameter(argv, flag, capsys):
+    _, _, err = run_cli(argv, capsys)
+    assert err.startswith(f"error: {flag}: ")
 
 
 def test_unknown_integral_one_message(capsys):

@@ -139,3 +139,23 @@ def test_tsvd_residual_norm_property():
         c = 10.0
         assert np.linalg.norm(z) <= c * np.linalg.norm(xbar)
         assert np.linalg.norm(a @ z - y) <= c * eps * s[0] * np.linalg.norm(xbar)
+
+
+def test_svd_accepts_any_memory_layout():
+    rng = np.random.default_rng(7)
+    m = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+    got, want = linalg.svd(m.T), linalg.svd(m.T.copy())
+    for name in ("u", "sigma", "v"):
+        np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+    m[2, 3] = np.inf
+    with pytest.raises(linalg.LinalgError):
+        linalg.svd(np.asfortranarray(m))
+
+
+def test_qr_factor_leaves_its_argument_unchanged():
+    rng = np.random.default_rng(8)
+    m = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
+    for a in (m.copy(), np.asfortranarray(m)):
+        factors = linalg.qr_factor(a)
+        np.testing.assert_array_equal(a, m)
+        assert not np.shares_memory(factors.qr, a)
