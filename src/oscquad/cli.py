@@ -14,12 +14,12 @@ Four subcommands:
 Exit codes: 0 success, 1 a computation did not converge (or a self-test
 failed), 2 bad input.  Bad input is a flag argparse rejects (it also
 checks the catalog id and the ranges of --decades, --ranges, --count,
---samples and --oracle-tol) or a ValueError raised while the command
-runs: an expression that does not parse, a catalog parameter that is
-missing, not finite or not taken by the integral (given, swept or
-gridded), a catalog id with any expression flag, a domain of infinite
-width, a tolerance ``AdaptiveConfig`` rejects.  ``main`` prints the message to
-stderr and returns the code instead of raising.  All floating-point
+--samples, --oracle-tol and --max-oracle-lambda) or a ValueError raised
+while the command runs: an expression that does not parse, a catalog
+parameter that is missing, not finite, out of its domain or not taken by
+the integral, a catalog id with any expression flag, a domain of infinite
+width, a tolerance ``AdaptiveConfig`` rejects.  ``main`` prints the message
+to stderr and returns the code instead of raising.  All floating-point
 output is rendered with 17 significant digits so values round-trip exactly.
 """
 
@@ -45,12 +45,12 @@ def _fmt(x: float) -> str:
 
 
 def _flag_type(usage):
-    """Make a flag parser's ValueError an argparse usage error."""
+    """Make a flag parser's ValueError (or OverflowError) an argparse usage error."""
     def wrap(parse):
         def convert(text):
             try:
                 return parse(text)
-            except ValueError:
+            except (ValueError, OverflowError):
                 raise argparse.ArgumentTypeError(
                     f"expected {usage}, got {text!r}") from None
         return convert
@@ -78,7 +78,14 @@ def _param(text):
 
 
 _grid = _flag_type("NAME=V1,V2,...")(_named_floats)
-_decades = _flag_type("LO:HI with LO < HI")(_interval)
+
+
+@_flag_type("LO:HI with LO < HI, 10^LO > 0 and 10^HI finite")
+def _decades(text):
+    lo, hi = _interval(text)
+    if not (10.0 ** lo > 0.0 and math.isfinite(10.0 ** hi)):
+        raise ValueError(text)
+    return lo, hi
 
 
 @_flag_type("LO:HI,... with 0 < LO < HI")
@@ -89,12 +96,18 @@ def _ranges(text):
     return ranges
 
 
-@_flag_type("a finite number > 0")
-def _tolerance(text):
-    tol = float(text)
-    if not 0.0 < tol < math.inf:
-        raise ValueError(text)
-    return tol
+def _float_flag(usage, ok):
+    """A flag converter: the float value, if ``ok(value)`` holds."""
+    def parse(text):
+        value = float(text)
+        if not ok(value):
+            raise ValueError(text)
+        return value
+    return _flag_type(usage)(parse)
+
+
+_tolerance = _float_flag("a finite number > 0", lambda v: 0.0 < v < math.inf)
+_max_lambda = _float_flag("a number that is not nan", lambda v: not math.isnan(v))
 
 
 @_flag_type("an integer >= 1")
@@ -330,7 +343,7 @@ def main(argv=None) -> int:
                    help="random samples per range (default 20)")
     p.add_argument("--oracle-tol", type=_tolerance, default=1e-15,
                    help="reference integrator tolerance (default 1e-15)")
-    p.add_argument("--max-oracle-lambda", type=float, default=1e4,
+    p.add_argument("--max-oracle-lambda", type=_max_lambda, default=1e4,
                    help="skip the reference above this lambda (default 1e4)")
     p.add_argument("--seed", type=int, default=1,
                    help="random seed for the lambda samples (default 1)")

@@ -19,9 +19,10 @@ rather than raised, and it is the integrator's sampling policy that deals
 with them.
 
 ``compile_fn(source, params)`` is the whole API: the parser builds the
-vectorized closure directly while it reads the source, with every
-parameter bound to a float at that point, and raises ParseError (with the
-offset of the offending token) or EvalError (an unbound name).
+result while it reads the source, with every parameter bound to a float,
+and raises ParseError (with the offset of the offending token) or
+EvalError (an unbound name).  A node is a float when it holds no ``x``
+(computed once, by the same ufunc) and a closure x -> ndarray otherwise.
 """
 
 from __future__ import annotations
@@ -42,10 +43,6 @@ class EvalError(ValueError):
     pass
 
 
-def _sech(v):
-    return 1.0 / np.cosh(v)
-
-
 # name -> (implementation, arity)
 FUNCTIONS = {
     "sin": (np.sin, 1),
@@ -60,58 +57,65 @@ FUNCTIONS = {
     "tanh": (np.tanh, 1),
     "cosh": (np.cosh, 1),
     "sinh": (np.sinh, 1),
-    "sech": (_sech, 1),
+    "sech": (lambda v: 1.0 / np.cosh(v), 1),
     "erf": (_erf, 1),
     "pow": (np.power, 2),
     "min": (np.minimum, 2),
     "max": (np.maximum, 2),
 }
 
+# operator -> (precedence, implementation); a higher level binds tighter
+_OPERATORS = {
+    "+": (1, np.add),
+    "-": (1, np.subtract),
+    "*": (2, np.multiply),
+    "/": (2, np.divide),
+    "^": (3, np.power),
+}
+
 CONSTANTS = {"pi": np.pi, "e": np.e}
 
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<num>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
+    r"(?P<num>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
     r"|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>[-+*/^(),]))"
+    r"|(?P<op>[-+*/^(),])"
+    r"|(?P<bad>\S)"
 )
 
 
 def _tokenize(source: str):
+    """(kind, text, offset) of each token, then ("eof", "", len(source))."""
     tokens = []
-    pos = 0
-    while pos < len(source):
-        m = _TOKEN_RE.match(source, pos)
-        if m is None:
-            stripped = source[pos:].lstrip()
-            off = len(source) - len(stripped)
-            if not stripped:
-                break
-            raise ParseError(f"unexpected character {stripped[0]!r}", off)
-        tokens.append((m.lastgroup, m.group(m.lastgroup), m.start(m.lastgroup)))
-        pos = m.end()
+    for m in _TOKEN_RE.finditer(source):
+        if m.lastgroup == "bad":
+            raise ParseError(f"unexpected character {m.group()!r}", m.start())
+        tokens.append((m.lastgroup, m.group(), m.start()))
     tokens.append(("eof", "", len(source)))
     return tokens
 
 
-def _binary(op: str, lhs, rhs):
-    """The closure applying ``op`` to two operand closures, left one first."""
-    if op == "+":
-        return lambda x: lhs(x) + rhs(x)
-    if op == "-":
-        return lambda x: lhs(x) - rhs(x)
-    if op == "*":
-        return lambda x: lhs(x) * rhs(x)
-    if op == "/":
-        return lambda x: lhs(x) / rhs(x)
-    return lambda x: np.power(lhs(x), rhs(x))
+def _node(fn, *args):
+    """``fn`` applied to one or two nodes: a float if every argument is one."""
+    if all(isinstance(arg, float) for arg in args):
+        return float(fn(*args))
+    if len(args) == 1:
+        (sub,) = args
+        return lambda x: fn(sub(x))
+    lhs, rhs = args
+    if isinstance(lhs, float):
+        return lambda x: fn(lhs, rhs(x))
+    if isinstance(rhs, float):
+        return lambda x: fn(lhs(x), rhs)
+    return lambda x: fn(lhs(x), rhs(x))
 
 
 class _Parser:
-    """Recursive descent; each grammar rule returns a closure x -> value.
+    """Precedence climbing over _OPERATORS; each rule returns a node.
 
-    A name that is neither ``x``, a constant nor a parameter is remembered
-    (the first one in source order) instead of raised, so that a syntax
-    error anywhere in the source is reported first.
+    A node is a float (a subexpression without ``x``) or a closure x ->
+    ndarray.  A name that is neither ``x``, a constant nor a parameter is
+    remembered (the first one in source order) and read as 0.0 instead of
+    raised, so that a syntax error anywhere in the source is reported first.
     """
 
     def __init__(self, source: str, params):
@@ -123,60 +127,41 @@ class _Parser:
     def peek(self):
         return self.tokens[self.pos]
 
-    def next(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def accept(self, ops: str):
-        """Consume the next token if it is one of the operators ``ops``; return it."""
-        kind, text, _off = self.peek()
-        if kind == "op" and text in ops:
-            self.pos += 1
-            return text
-        return None
+    def accept(self, op: str) -> bool:
+        """Consume the next token if it is the operator ``op``."""
+        found = self.peek()[1] == op  # only an op token has such a text
+        self.pos += found
+        return found
 
     def expect_op(self, op: str):
         if not self.accept(op):
             raise ParseError(f"expected {op!r}", self.peek()[2])
 
-    def expr(self):
-        node = self.term()
-        while op := self.accept("+-"):
-            node = _binary(op, node, self.term())
-        return node
-
-    def term(self):
-        node = self.factor()
-        while op := self.accept("*/"):
-            node = _binary(op, node, self.factor())
-        return node
-
-    def factor(self):
+    def expr(self, prec: int = 1):
+        """Unary operands joined by operators of level ``prec`` or higher."""
         node = self.unary()
-        if self.accept("^"):
-            return _binary("^", node, self.factor())
+        while (op := self.peek()[1]) in _OPERATORS and _OPERATORS[op][0] >= prec:
+            self.pos += 1
+            level, fn = _OPERATORS[op]
+            # '^' associates to the right: its right operand may hold another '^'
+            node = _node(fn, node, self.expr(level if op == "^" else level + 1))
         return node
 
     def unary(self):
         if self.accept("-"):
-            sub = self.unary()
-            return lambda x: -sub(x)
+            return _node(np.negative, self.unary())
         return self.atom()
 
     def atom(self):
-        kind, text, off = self.next()
+        kind, text, off = self.peek()
+        self.pos += 1
         if kind == "num":
-            v = float(text)
-            return lambda x: v
+            return float(text)
         if kind == "ident":
             if self.accept("("):
                 return self.call(text, off)
-            if text == "x":
-                return lambda x: x
-            v = self.lookup(text)
-            return lambda x: v
-        if kind == "op" and text == "(":
+            return (lambda x: x) if text == "x" else self.lookup(text)
+        if text == "(":
             node = self.expr()
             self.expect_op(")")
             return node
@@ -192,11 +177,7 @@ class _Parser:
         fn, arity = FUNCTIONS[name]
         if len(args) != arity:
             raise ParseError(f"{name} takes {arity} argument(s), got {len(args)}", off)
-        if arity == 1:
-            (sub,) = args
-            return lambda x: fn(sub(x))
-        sub0, sub1 = args
-        return lambda x: fn(sub0(x), sub1(x))
+        return _node(fn, *args)
 
     def lookup(self, name: str) -> float:
         if name in CONSTANTS:
@@ -217,17 +198,14 @@ def compile_fn(source: str, params=None):
     expression is broadcast to the shape of the argument.
     """
     parser = _Parser(source, params)
-    body = parser.expr()
+    # constant nodes are computed here; inf and nan are values, not errors
+    with np.errstate(all="ignore"):
+        body = parser.expr()
     kind, text, off = parser.peek()
     if kind != "eof":
         raise ParseError(f"unexpected {text!r}", off)
     if parser.unbound is not None:
         raise EvalError(f"unbound parameter {parser.unbound!r}")
-
-    def fn(x):
-        out = body(x)
-        if np.ndim(out) == 0:
-            return np.full(np.shape(x), float(out))
-        return out
-
-    return fn
+    if isinstance(body, float):
+        return lambda x: np.full(np.shape(x), body)
+    return body

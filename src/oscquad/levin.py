@@ -100,13 +100,13 @@ def panel_values(integrand: Integrand, spans, grid: chebyshev.ChebGrid, solver: 
     single vectorized call over all of them.  A node where f or g is
     non-finite is re-evaluated once, shifted toward the interior of its own
     span by NUDGE_FACTOR times that span's width; a sample still non-finite
-    raises PanelError, as do a g' that overflows (before any span is
-    factored, whatever the solver) and a non-finite estimate (once every
-    span is solved).  g', the matrices D/h + i diag(g') and the endpoint
-    phases are each computed once over all spans; each span's truncated
-    solve drops the directions below EPS0 times its matrix-norm proxy (the
-    leading R-diagonal entry or singular value).  Returns (values, ranks,
-    nevals).
+    raises PanelError, as do a collocation matrix that overflows (in g' or
+    D/h, before any span is factored, whatever the solver) and a non-finite
+    estimate (once every span is solved).  g', the matrices D/h + i diag(g')
+    and the endpoint phases are each computed once over all spans; each
+    span's truncated solve drops the directions below EPS0 times its
+    matrix-norm proxy (the leading R-diagonal entry or singular value).
+    Returns (values, ranks, nevals).
     """
     if solver not in SOLVERS:
         raise ValueError(f"solver must be one of {SOLVERS}, got {solver!r}")
@@ -118,8 +118,8 @@ def panel_values(integrand: Integrand, spans, grid: chebyshev.ChebGrid, solver: 
     xs += (lo + half)[:, None]
     xs[:, :: k - 1] = spans
     xs = xs.ravel()
-    # f, g and g' may overflow or be undefined at a node; every non-finite
-    # result is caught below, so numpy's warnings are silenced once for all.
+    # f, g, g' and D/h may overflow or be undefined; every non-finite result
+    # is caught below, so numpy's warnings are silenced once for all.
     with np.errstate(all="ignore"):
         fs = np.asarray(integrand.f(xs), dtype=np.complex128)
         gs = np.asarray(integrand.g(xs), dtype=np.float64)
@@ -137,13 +137,14 @@ def panel_values(integrand: Integrand, spans, grid: chebyshev.ChebGrid, solver: 
         gs = gs.reshape(n, k, 1)
         # rounds like grid.diff @ gs[i]; gs @ grid.diff.T and einsum do not
         gprime = np.matmul(grid.diff, gs)[:, :, 0] / half[:, None]
-    if not np.isfinite(gprime).all():
-        raise PanelError(f"non-finite g' in {spans.tolist()}: "
-                         "the collocation matrix overflows")
-    a = np.zeros((n, k, k), dtype=np.complex128)
-    np.divide(grid.diff, half[:, None, None], out=a.real)
+        a = np.zeros((n, k, k), dtype=np.complex128)
+        np.divide(grid.diff, half[:, None, None], out=a.real)
     # a is C-contiguous, so reshape gives a view of every diagonal
     a.reshape(n, -1).imag[:, :: k + 1] = gprime
+    if not np.isfinite(a).all():
+        part = "g'" if not np.isfinite(gprime).all() else "D/h"
+        raise PanelError(f"non-finite {part} in {spans.tolist()}: "
+                         "the collocation matrix overflows")
     fs = fs.reshape(n, k)
     phases = np.exp(1j * gs[:, :: k - 1, 0]).tolist()
     kernel = integrand.kernel

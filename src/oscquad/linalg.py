@@ -17,7 +17,8 @@ truncation and retained-subspace logic lives here.  LAPACK routines are
 prebound at import time because these solves sit on the hot path of the
 adaptive integrator (thousands of 12 x 12 solves per integral).  For the
 same reason ``QrFactors`` is a named tuple and ``qr_apply`` checks for
-full rank first.  No routine modifies its arguments.
+full rank first.  No routine modifies its arguments, and an apply whose
+solution overflows returns it non-finite, without a warning.
 """
 
 from __future__ import annotations
@@ -78,8 +79,9 @@ def tsvd_apply(factors: SvdFactors, y: np.ndarray, threshold: float):
     rank = int(np.count_nonzero(s >= threshold))
     if rank == 0:
         return np.zeros(s.shape[0], dtype=np.complex128), 0
-    coef = (factors.u[:, :rank].conj().T @ y) / s[:rank]
-    return factors.v[:, :rank] @ coef, rank
+    with np.errstate(all="ignore"):
+        coef = (factors.u[:, :rank].conj().T @ y) / s[:rank]
+        return factors.v[:, :rank] @ coef, rank
 
 
 class QrFactors(NamedTuple):
@@ -131,6 +133,7 @@ def qr_apply(factors: QrFactors, y: np.ndarray, threshold: float):
         # B* = Q2 R2, solve R2* w = c_l (lower triangular), z = Q2 w.
         b = np.triu(qr)[:rank, :]
         q2, r2 = np.linalg.qr(b.conj().T)
-        w = solve_triangular(r2.conj().T, c[:rank, 0], lower=True)
-        x[factors.perm] = q2 @ w
+        with np.errstate(all="ignore"):
+            w = solve_triangular(r2.conj().T, c[:rank, 0], lower=True, check_finite=False)
+            x[factors.perm] = q2 @ w
     return x, rank

@@ -165,13 +165,17 @@ def _entry(id: str, params: dict) -> NamedIntegral:
     return entry
 
 
+def _lambda(entry: NamedIntegral, params: dict) -> float:
+    lam = float(params["lambda"])  # the truncations and closed forms need lambda > 0
+    if lam <= 0:
+        raise ValueError(f"{entry.id} needs lambda > 0")
+    return lam
+
+
 def _domain(entry: NamedIntegral, params: dict) -> tuple:
     if isinstance(entry.domain, tuple):
         return entry.domain
-    lam = float(params["lambda"])
-    if lam <= 0:
-        raise ValueError(f"{entry.id} needs lambda > 0")
-    return entry.domain(lam)
+    return entry.domain(_lambda(entry, params))
 
 
 def closed_form_value(id: str, params: dict) -> complex:
@@ -179,7 +183,7 @@ def closed_form_value(id: str, params: dict) -> complex:
     entry = _entry(id, params)
     if entry.closed_form is None:
         raise ValueError(f"no closed form available for {id}")
-    return entry.closed_form(float(params["lambda"]))
+    return entry.closed_form(_lambda(entry, params))
 
 
 def integrand_for(id: str, params: dict):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -93,6 +94,17 @@ def test_panel_failure_after_splitting_to_floor():
     res = adaptive_integrate(Integrand(f=f, g=lambda x: 0.0 * x), 0.0, 1.0)
     assert res.status == "panel_failure"
     assert np.isfinite(res.value)
+
+
+def test_overflow_in_the_solve_is_panel_failure():
+    # f = 1e308 overflows the truncated solve on either solver: every panel
+    # fails, without a warning or a bare scipy ValueError
+    integrand = Integrand(f=lambda x: 1e308 * np.ones_like(x), g=lambda x: x)
+    for solver in ("qr", "svd"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = adaptive_integrate(integrand, 0.0, 1.0, AdaptiveConfig(solver=solver))
+        assert res.status == "panel_failure", solver
 
 
 def test_counts():

@@ -4,10 +4,11 @@ import io
 import json
 import math
 import re
+import warnings
 
 import pytest
 
-from oscquad import chebyshev, selftest
+from oscquad import adaptive, chebyshev, selftest
 from oscquad.cli import main
 
 
@@ -244,6 +245,11 @@ BAD_INPUTS = [
     ["sweep", "--paper-integral", "I9", "--param", "m=inf", "--count", "2"],
     ["sweep", "--paper-integral", "I9", "--grid-param", "m=inf", "--count", "2"],
     ["integrate", "--f", "exp(-x^2)", "--g", "0", "--a=-1e308", "--b=1e308"],
+    ["sweep", "--paper-integral", "I1", "--decades", "2:1"],
+    ["sweep", "--paper-integral", "I1", "--decades=-400:-399", "--count", "2"],
+    ["sweep", "--paper-integral", "I1", "--decades", "300:400", "--count", "2"],
+    ["compare", "--paper-integral", "I1", "--ranges", "1:10", "--max-oracle-lambda", "nan"],
+    ["integrate", "--paper-integral", "I2", "--param", "lambda=-1"],
 ] + [argv for argv, _ in PARAM_CLASHES]
 
 
@@ -261,6 +267,46 @@ def test_bad_input_exit2(argv, capsys):
 def test_param_clash_names_the_parameter(argv, flag, capsys):
     _, _, err = run_cli(argv, capsys)
     assert err.startswith(f"error: {flag}: ")
+
+
+def test_out_of_domain_lambda_names_the_rule(capsys):
+    code, _, err = run_cli(["integrate", "--paper-integral", "I2",
+                            "--param", "lambda=-1"], capsys)
+    assert code == 2
+    assert err == "error: I2 needs lambda > 0\n"
+
+
+def test_infinite_max_oracle_lambda_always_runs_the_reference(capsys):
+    code, out, _ = run_cli(["compare", "--paper-integral", "I1", "--ranges", "1:10",
+                            "--samples", "2", "--max-oracle-lambda", "inf",
+                            "--no-timing"], capsys)
+    assert code == 0
+    (row,) = csv.DictReader(io.StringIO(out))
+    assert float(row["max_abs_difference"]) <= 1e-10
+
+
+def test_nonconverged_sweep_row_exits_1(monkeypatch, capsys):
+    monkeypatch.setattr(adaptive, "MAX_INTERVALS", 1)
+    code, out, _ = run_cli(["sweep", "--paper-integral", "I1", "--decades", "1:2",
+                            "--count", "2", "--no-timing"], capsys)
+    assert code == 1
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert [row["status"] for row in rows] == ["budget_exhausted"] * 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["--f", "1e308", "--solver", "qr"],
+    ["--f", "1e308", "--solver", "svd"],
+    ["--f", "x + 1/0"],
+], ids=" ".join)
+def test_overflowing_integrand_is_panel_failure(argv, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(["integrate", "--g", "x", "--a", "0", "--b", "1",
+                                  "--no-timing", *argv], capsys)
+    assert code == 1
+    assert json.loads(out)["status"] == "panel_failure"
+    assert err == ""
 
 
 def test_unknown_integral_one_message(capsys):

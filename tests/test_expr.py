@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import erf
 
 from oscquad import expr
 
@@ -140,3 +143,137 @@ def test_scientific_notation_literals():
     assert ev("1e6") == 1e6
     assert ev("2.5e-3") == 2.5e-3
     assert ev(".5") == 0.5
+
+
+def test_bad_character_and_unclosed_paren():
+    for src, offset, message in (("x $ 2", 2, "unexpected character '$'"),
+                                 ("(x", 2, "expected ')'")):
+        with pytest.raises(expr.ParseError) as exc:
+            expr.compile_fn(src)
+        assert exc.value.offset == offset
+        assert str(exc.value) == f"syntax error at offset {offset}: {message}"
+
+
+def test_constant_division_by_zero_is_ieee():
+    # a constant subexpression is computed once, at compile time, as a float
+    assert ev("x + 1/0", x=0.5) == math.inf
+    fn = expr.compile_fn("1/m*x", {"m": 0.0})
+    with np.errstate(all="ignore"):
+        out = fn(np.array([2.0, 0.0]))
+    assert out[0] == math.inf
+    assert math.isnan(out[1])
+
+
+# The tree oracle: operators and functions by their own table, not expr's,
+# so a wrong entry in either shows.
+LITERALS = ("0", "1", "2", "0.5", ".75", "3.25", "1e-3", "2.5e2")
+NAMES = {"pi": math.pi, "e": math.e, "a": 0.75, "m": 0.0, "lam": -2.5}
+OPERATORS = {"+": (1, np.add), "-": (1, np.subtract), "*": (2, np.multiply),
+             "/": (2, np.divide), "^": (3, np.power)}
+CALLS = {
+    "sin": (np.sin, 1), "cos": (np.cos, 1), "tan": (np.tan, 1), "atan": (np.arctan, 1),
+    "atan2": (np.arctan2, 2), "exp": (np.exp, 1), "log": (np.log, 1),
+    "sqrt": (np.sqrt, 1), "abs": (np.abs, 1), "tanh": (np.tanh, 1),
+    "cosh": (np.cosh, 1), "sinh": (np.sinh, 1), "sech": (lambda v: 1.0 / np.cosh(v), 1),
+    "erf": (erf, 1), "pow": (np.power, 2), "min": (np.minimum, 2),
+    "max": (np.maximum, 2),
+}
+UNARY_LEVEL, ATOM_LEVEL = 4, 5
+GRID = np.array([-2.5, -1.0, -0.3, -0.0, 0.0, 0.2, 0.5, 1.0, 3.0])
+
+
+def _trees(depth=3):
+    """Trees of at most ``depth`` operator, minus and call levels."""
+    leaves = st.one_of(st.just(("x",)),
+                       st.sampled_from(LITERALS).map(lambda t: ("num", t)),
+                       st.sampled_from(sorted(NAMES)).map(lambda n: ("name", n)))
+    if depth == 0:
+        return leaves
+    children = _trees(depth - 1)
+
+    def call(name):
+        arity = CALLS[name][1]
+        return st.lists(children, min_size=arity, max_size=arity).map(
+            lambda args: ("call", name, *args))
+
+    kinds = {
+        "op": st.tuples(st.just("op"), st.sampled_from(sorted(OPERATORS)),
+                        children, children),
+        "neg": children.map(lambda c: ("neg", c)),
+        "call": st.sampled_from(sorted(CALLS)).flatmap(call),
+        "leaf": leaves,
+    }
+    # operators weighted up: precedence is what is tested
+    return st.sampled_from(("op", "op", "op", "neg", "call", "leaf")).flatmap(kinds.get)
+
+
+def _full(tree):
+    """Source with every operator node in parentheses."""
+    kind = tree[0]
+    if kind == "neg":
+        return f"(-{_full(tree[1])})"
+    if kind == "op":
+        return f"({_full(tree[2])} {tree[1]} {_full(tree[3])})"
+    if kind == "call":
+        return f"{tree[1]}({', '.join(_full(t) for t in tree[2:])})"
+    return tree[-1]
+
+
+def _minimal(tree):
+    """(source with only the parentheses the grammar needs, its level)."""
+    kind = tree[0]
+    if kind == "neg":  # '-' takes a unary, so any operator under it needs parentheses
+        text, level = _minimal(tree[1])
+        return "-" + (text if level >= UNARY_LEVEL else f"({text})"), UNARY_LEVEL
+    if kind == "op":
+        op = tree[1]
+        level = OPERATORS[op][0]
+        (lhs, lhs_level), (rhs, rhs_level) = _minimal(tree[2]), _minimal(tree[3])
+        right = op == "^"  # the only right-associative operator
+        if lhs_level < level or (lhs_level == level and right):
+            lhs = f"({lhs})"
+        if rhs_level < level or (rhs_level == level and not right):
+            rhs = f"({rhs})"
+        return f"{lhs}{op}{rhs}", level
+    if kind == "call":
+        return f"{tree[1]}({','.join(_minimal(t)[0] for t in tree[2:])})", ATOM_LEVEL
+    return tree[-1], ATOM_LEVEL
+
+
+def _oracle(tree, x):
+    """Each node applies its ufunc to its children's results."""
+    kind = tree[0]
+    if kind == "x":
+        return x
+    if kind == "num":
+        return float(tree[1])
+    if kind == "name":
+        return NAMES[tree[1]]
+    if kind == "neg":
+        return np.negative(_oracle(tree[1], x))
+    if kind == "op":
+        return OPERATORS[tree[1]][1](_oracle(tree[2], x), _oracle(tree[3], x))
+    return CALLS[tree[1]][0](*(_oracle(t, x) for t in tree[2:]))
+
+
+def _same_bits(got, want):
+    return bool(np.all((got.view(np.uint64) == want.view(np.uint64))
+                       | (np.isnan(got) & np.isnan(want))))
+
+
+def test_oracle_tables_cover_the_language():
+    assert set(CALLS) == set(expr.FUNCTIONS)
+    assert all(CALLS[name][1] == arity for name, (_fn, arity) in expr.FUNCTIONS.items())
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_trees())
+def test_compiled_trees_match_ufunc_oracle_bit_for_bit(tree):
+    params = {name: value for name, value in NAMES.items() if name not in ("pi", "e")}
+    with np.errstate(all="ignore"):
+        want = np.broadcast_to(np.asarray(_oracle(tree, GRID), dtype=np.float64),
+                               GRID.shape)
+        for src in (_full(tree), _minimal(tree)[0]):
+            got = expr.compile_fn(src, params)(GRID)
+            assert got.shape == GRID.shape, src
+            assert _same_bits(np.asarray(got, dtype=np.float64), want), src

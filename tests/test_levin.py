@@ -203,6 +203,18 @@ def test_nonfinite_matrix_is_panel_failure():
     assert len(messages) == 1
 
 
+def test_overflowing_d_over_h_is_panel_failure():
+    # a span of width 1e-310 overflows D/h while g' = 1 stays finite
+    integrand = Integrand(f=const_one, g=lambda x: x)
+    for solver in ("qr", "svd"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PanelError) as failure:
+                levin_panel(integrand, 0.0, 1e-310, solver=solver)
+        assert str(failure.value) == ("non-finite D/h in [[0.0, 1e-310]]: "
+                                      "the collocation matrix overflows")
+
+
 def test_interior_nan_is_panel_failure():
     def f(x):
         out = np.ones_like(x)

@@ -84,3 +84,16 @@ def test_adaptive_counts_and_validation():
     for tol in (0.0, math.inf, math.nan):
         with pytest.raises(ValueError):
             adaptive_gauss(np.exp, 0.0, 1.0, tol=tol)
+
+
+def test_nan_region_is_panel_failure_with_the_partial_sum():
+    # the panels over (0.3, 0.4) fail down to the width floor; everything
+    # accepted left of 0.3 is returned
+    def f(x):
+        out = np.ones_like(x)
+        out[(x > 0.3) & (x < 0.4)] = np.nan
+        return out
+
+    res = adaptive_gauss(f, 0.0, 1.0)
+    assert res.status == "panel_failure"
+    assert abs(res.value - 0.3) <= 1e-13

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from oscquad import adaptive_gauss
+from oscquad import adaptive, adaptive_gauss
 from oscquad import reference
 from oscquad.reference import (GAMMA_5_4, closed_form_value, evaluate_levin,
                                evaluate_oracle, integrand_for)
@@ -79,6 +79,23 @@ def test_unknown_parameter_rejected_on_every_route():
             with pytest.raises(ValueError) as exc:
                 route("I1", params)
             assert str(exc.value) == message, route.__name__
+
+
+@pytest.mark.parametrize(
+    "id", [id for id, entry in reference.CATALOG.items() if entry.closed_form is not None])
+def test_closed_forms_need_positive_lambda(id):
+    for lam in (0.0, -1.0):
+        with pytest.raises(ValueError) as exc:
+            closed_form_value(id, {"lambda": lam})
+        assert str(exc.value) == f"{id} needs lambda > 0"
+
+
+def test_nonconverged_component_status_is_passed_on(monkeypatch):
+    # with a budget of one interval neither I21 component can converge
+    monkeypatch.setattr(adaptive, "MAX_INTERVALS", 1)
+    res = evaluate_levin("I21", {"kappa": 30.0, "m": 7.0, "alpha": 0.5})
+    assert res.status == "budget_exhausted"
+    assert res.intervals_used == 6
 
 
 def test_truncated_domains_scale_with_lambda():

@@ -1,4 +1,4 @@
-"""Compare per-case answers of the work tree with those of a parent commit.
+"""Compare per-case answers and CLI output of the work tree with a parent commit.
 
 Run from the root of the repository:
 
@@ -10,14 +10,22 @@ archive`` of the parent (extracted to a temporary directory), each side in
 its own process with its own ``src/`` and ``bench/`` (nothing is written
 there).  A case's fingerprint is the real and imaginary value bits,
 ``intervals_used``, ``fevals`` and the status.  The two sides run at the
-same time, one process each.  The tool prints the number of cases
-compared and each case whose fingerprint differs, and exits 1 if any
+same time, one process each.
+
+Then each command of CLI_RUNS runs as ``python -W error -m oscquad.cli``
+against each side's ``src/``, the two sides at the same time, and its
+stdout and exit code are compared.
+
+The tool prints the number of cases and commands compared, each case
+whose fingerprint differs and each command whose stdout or exit code
+differs (with the last stderr line of each side), and exits 1 if any
 does.
 """
 
 import argparse
 import json
 import os
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -25,6 +33,55 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = (1, 7)
+
+# The README examples (to stdout), the criterion-8 commands, other output
+# paths, every kind of expression error, and bad input.  Each command that
+# prints a time gets --no-timing.
+CLI_RUNS = [
+    ["integrate", "--f", "1/(1+x^2)", "--g", "lambda*atan(x)", "--kernel", "cos",
+     "--a", "-1", "--b", "1", "--param", "lambda=100", "--no-timing"],
+    ["integrate", "--paper-integral", "I9", "--param", "lambda=1e4", "--param", "m=3",
+     "--no-timing"],
+    ["sweep", "--paper-integral", "I1", "--decades", "1:7", "--count", "200", "--no-timing"],
+    ["sweep", "--paper-integral", "I9", "--decades", "1:7", "--count", "200",
+     "--grid-param", "m=2,3,4,5", "--eps", "1e-7", "--no-timing"],
+    ["compare", "--paper-integral", "I6", "--ranges", "1e0:1e1,1e1:1e2,1e2:1e3,1e3:1e4",
+     "--samples", "20", "--oracle-tol", "1e-15", "--no-timing"],
+    ["selftest", "--filter", "chebyshev"],
+    ["sweep", "--paper-integral", "I9", "--decades", "1:5", "--count", "25",
+     "--grid-param", "m=2,3", "--eps", "1e-7", "--no-timing"],
+    ["compare", "--paper-integral", "I6", "--ranges", "1e0:1e1,1e1:1e2", "--samples", "5",
+     "--seed", "7", "--no-timing"],
+    ["integrate", "--paper-integral", "I21", "--param", "kappa=100", "--param", "m=50",
+     "--param", "alpha=0.5", "--eps-scale", "sqrt-kappa", "--no-timing"],
+    ["integrate", "--f", "cos(x)", "--f-imag", "sin(x)", "--g", "50*x", "--a", "0",
+     "--b", "1", "--kernel", "sin", "--no-timing"],
+    ["integrate", "--f", "1/x", "--g", "1", "--a", "0", "--b", "1", "--no-timing"],
+    ["compare", "--paper-integral", "I1", "--ranges", "1e0:1e2,1e5:1e6", "--samples", "3",
+     "--max-oracle-lambda", "30", "--no-timing"],
+    ["compare", "--paper-integral", "I1", "--ranges", "1:10", "--samples", "2",
+     "--max-oracle-lambda", "inf", "--no-timing"],
+    *(["integrate", "--f", f, "--g", "x", "--a", "0", "--b", "1", "--param", "m=0",
+       "--no-timing"]
+      for f in ("sin(", "x $ 2", "(x", "frob(x)", "sin(x, 1)", "1 + 2)", "2 x", "a*x",
+                "2^2000", "x + 1/0", "1/m*x", "-2^2*x", "2^3^2*x")),
+    ["integrate", "--f", "1e308", "--g", "x", "--a", "0", "--b", "1", "--no-timing"],
+    ["integrate", "--f", "1e308", "--g", "x", "--a", "0", "--b", "1", "--solver", "svd",
+     "--no-timing"],
+    ["sweep", "--paper-integral", "I1", "--decades=-400:-399", "--count", "2",
+     "--no-timing"],
+    ["sweep", "--paper-integral", "I1", "--decades", "300:400", "--count", "2",
+     "--no-timing"],
+    ["compare", "--paper-integral", "I1", "--ranges", "1:10", "--max-oracle-lambda", "nan"],
+    ["sweep", "--paper-integral", "I1", "--decades", "2:1"],
+    ["integrate", "--paper-integral", "I2", "--param", "lambda=-1"],
+    ["integrate", "--paper-integral", "I1", "--param", "lambda=nan"],
+    ["integrate", "--paper-integral", "I1", "--param", "lambda=2", "--k", "3"],
+    ["sweep", "--paper-integral", "I1", "--param", "lambda=5", "--decades", "1:2",
+     "--count", "2"],
+    ["integrate", "--paper-integral", "I1", "--param", "lambda=5", "--kernel", "exp"],
+    ["integrate", "--f", "exp(-x^2)", "--g", "0", "--a=-1e308", "--b=1e308"],
+]
 
 # Evaluates every case in the checkout named by argv[1] and prints one JSON
 # list of [workload, seed, route, index, id, params, fingerprint] rows.
@@ -50,6 +107,22 @@ print(json.dumps(rows))
 """
 
 
+def compare_cli(parent_root, env):
+    """The CLI_RUNS entries whose stdout or exit code differ between the sides."""
+    differ = []
+    for argv in CLI_RUNS:
+        procs = [subprocess.Popen([sys.executable, "-B", "-W", "error", "-m", "oscquad.cli",
+                                   *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                  env=dict(env, PYTHONPATH=str(root / "src")), text=True)
+                 for root in (parent_root, ROOT)]
+        (old_out, old_err), (new_out, new_err) = (proc.communicate() for proc in procs)
+        old, new = procs[0].returncode, procs[1].returncode
+        if (old, old_out) != (new, new_out):
+            last = [(err.strip().splitlines() or ["(none)"])[-1] for err in (old_err, new_err)]
+            differ.append((argv, old, new, old_out != new_out, last))
+    return differ
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="commit to compare against")
@@ -68,6 +141,7 @@ def main(argv=None):
                                         stdout=subprocess.PIPE, env=env, text=True)
                  for side, path in (("parent", tmp), ("change", ROOT))}
         outs = {side: proc.communicate()[0] for side, proc in procs.items()}
+        cli_differ = compare_cli(Path(tmp), env)
     for side, proc in procs.items():
         if proc.returncode != 0:
             sys.exit(f"{side} run failed with exit code {proc.returncode}")
@@ -82,7 +156,12 @@ def main(argv=None):
         name, seed, route, i, id_, params = old[:6]
         print(f"{name} seed {seed} {route} #{i} {id_} {params}: "
               f"parent {old[6]} change {new[6]}")
-    return 1 if differ else 0
+    print(f"{len(CLI_RUNS)} CLI commands compared, {len(cli_differ)} differ")
+    for argv, old, new, stdout_differs, (old_err, new_err) in cli_differ:
+        print(f"oscquad {shlex.join(argv)}: exit {old} -> {new}"
+              f"{', stdout differs' if stdout_differs else ''}\n"
+              f"    parent stderr: {old_err}\n    change stderr: {new_err}")
+    return 1 if differ or cli_differ else 0
 
 
 if __name__ == "__main__":
