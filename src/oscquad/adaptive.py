@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import chebyshev, linalg
-from .levin import SOLVERS, Integrand, PanelError, check_domain, panel_trio
+from .levin import Integrand, PanelError, check_domain, panel_trio
 
 MAX_INTERVALS = 2 ** 20
 MIN_WIDTH_FACTOR = 16.0 * linalg.EPS0
@@ -53,16 +53,16 @@ class AdaptiveConfig:
             raise ValueError("eps must be finite and > 0")
         if self.k < 4:
             raise ValueError("collocation order must be >= 4")
-        if self.solver not in SOLVERS:
-            raise ValueError(f"solver must be one of {SOLVERS}, got {self.solver!r}")
+        if self.solver not in linalg.SOLVERS:
+            raise ValueError(f"solver must be one of {linalg.SOLVERS}, got {self.solver!r}")
 
 
 @dataclass(frozen=True)
 class QuadResult:
     """Outcome of an adaptive run.
 
-    ``intervals_used`` counts every panel estimate computed (three per
-    processed interval); ``fevals`` counts every point at which the
+    ``intervals_used`` counts three panels per processed interval, a
+    failed one included; ``fevals`` counts every point at which the
     integrand was sampled.  ``value`` is the partial sum when the status is
     not 'converged'.
     """
@@ -87,9 +87,10 @@ def _run_worklist(trio, a: float, b: float, eps: float) -> QuadResult:
     """Generic whole-vs-halves driver over a panel-trio evaluator.
 
     ``trio(a0, c0, b0)`` returns (val0, val_l, val_r, nevals) and may raise
-    PanelError; a failing interval is split until the width floor, at
-    which point the run stops with status 'panel_failure'.  The budget and
-    the floor are read from MAX_INTERVALS and MIN_WIDTH_FACTOR once per run.
+    PanelError; a failing interval still counts its three panels and the
+    error's ``nevals``, and is split until the width floor, at which point
+    the run stops with status 'panel_failure'.  The budget and the floor
+    are read from MAX_INTERVALS and MIN_WIDTH_FACTOR once per run.
     """
     max_intervals = MAX_INTERVALS
     floor = MIN_WIDTH_FACTOR * max(abs(a), abs(b), 1.0)
@@ -109,16 +110,17 @@ def _run_worklist(trio, a: float, b: float, eps: float) -> QuadResult:
             status = "width_floor"
             break
         c0 = 0.5 * (a0 + b0)
+        panels += 3
         try:
             v0, vl, vr, ne = trio(a0, c0, b0)
-        except PanelError:
+        except PanelError as exc:
+            fevals += exc.nevals
             if 0.5 * (b0 - a0) < floor:
                 status = "panel_failure"
                 break
             stack.append((c0, b0))
             stack.append((a0, c0))
             continue
-        panels += 3
         fevals += ne
         if accepted_pair_update(v0, vl, vr, eps):
             val += v0

@@ -12,6 +12,7 @@ concurrent first use from several threads is safe.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,10 +53,7 @@ def cheb_nodes(k: int) -> np.ndarray:
     x = np.cos(np.pi * (k - j) / (k - 1.0))
     x[0] = -1.0
     x[-1] = 1.0
-    x = 0.5 * (x - x[::-1])
-    if k % 2 == 1:
-        x[k // 2] = 0.0
-    return x
+    return 0.5 * (x - x[::-1])  # the middle node of odd k is x - x = +0.0
 
 
 def diff_matrix(k: int) -> np.ndarray:
@@ -108,17 +106,10 @@ def cheb_coeffs(values: np.ndarray) -> np.ndarray:
     return coeffs
 
 
-_GRIDS: dict[int, ChebGrid] = {}
-
-
+@functools.cache
 def grid(k: int = 12) -> ChebGrid:
-    """Return the cached ChebGrid of order k, building it on first use."""
-    g = _GRIDS.get(k)
-    if g is None:
-        # Racing threads may each build one; the results are identical and
-        # dict assignment is atomic, so last-writer-wins is harmless.
-        g = ChebGrid(k=k, nodes=cheb_nodes(k), diff=diff_matrix(k))
-        g.nodes.setflags(write=False)
-        g.diff.setflags(write=False)
-        _GRIDS[k] = g
+    """Return the ChebGrid of order k, built on first use and cached."""
+    g = ChebGrid(k=k, nodes=cheb_nodes(k), diff=diff_matrix(k))
+    g.nodes.setflags(write=False)
+    g.diff.setflags(write=False)
     return g

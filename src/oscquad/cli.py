@@ -36,8 +36,8 @@ import numpy as np
 from . import expr as exprmod
 from . import reference, selftest
 from .adaptive import AdaptiveConfig, adaptive_integrate
-from .levin import KERNELS, SOLVERS, Integrand
-from .linalg import EPS0
+from .levin import KERNELS, Integrand
+from .linalg import EPS0, SOLVERS
 
 
 def _fmt(x: float) -> str:
@@ -278,16 +278,17 @@ EXPR_HELP = (
 
 
 def _add_common(p):
-    p.add_argument("--eps", type=float, default=AdaptiveConfig.eps,
-                   help="absolute acceptance tolerance (default %(default)s)")
+    tolerance = p.add_mutually_exclusive_group()
+    tolerance.add_argument("--eps", type=float, default=AdaptiveConfig.eps,
+                           help="absolute acceptance tolerance (default %(default)s)")
     p.add_argument("--k", type=int, default=AdaptiveConfig.k,
                    help="collocation order per panel (default %(default)s)")
     p.add_argument("--solver", choices=SOLVERS, default=AdaptiveConfig.solver,
                    help="panel solver (default %(default)s)")
     p.add_argument("--param", action="append", type=_param, metavar="NAME=VALUE",
                    help="bind a parameter (repeatable)")
-    p.add_argument("--eps-scale", choices=("sqrt-kappa",),
-                   help="scale the tolerance as machine-eps * sqrt(kappa)")
+    tolerance.add_argument("--eps-scale", choices=("sqrt-kappa",),
+                           help="scale the tolerance as machine-eps * sqrt(kappa)")
     p.add_argument("--no-timing", action="store_true",
                    help="report 0 for all timing fields (reproducible output)")
 

@@ -44,19 +44,19 @@ import numpy as np
 from . import chebyshev, linalg
 
 KERNELS = ("exp", "cos", "sin")
-SOLVERS = ("qr", "svd")
 
 # Inward shift, as a fraction of the width of the sample's own panel, used
 # to re-evaluate an endpoint whose sample came back non-finite (integrable
 # endpoint singularities such as x**-0.5 at 0).
 NUDGE_FACTOR = 2.0 ** -46
 
-# Threshold for a solve whose norm proxy is 0 (an all-zero matrix).
-_TINY = float(np.finfo(np.float64).tiny)
-
 
 class PanelError(Exception):
-    """A panel estimate could not be produced (bad samples or solver)."""
+    """No panel estimate (bad samples or solver); ``nevals`` points were sampled."""
+
+    def __init__(self, message: str, nevals: int = 0):
+        super().__init__(message)
+        self.nevals = nevals
 
 
 @dataclass(frozen=True)
@@ -102,14 +102,15 @@ def panel_values(integrand: Integrand, spans, grid: chebyshev.ChebGrid, solver: 
     span by NUDGE_FACTOR times that span's width; a sample still non-finite
     raises PanelError, as do a collocation matrix that overflows (in g' or
     D/h, before any span is factored, whatever the solver) and a non-finite
-    estimate (once every span is solved).  g', the matrices D/h + i diag(g')
-    and the endpoint phases are each computed once over all spans; each
-    span's truncated solve drops the directions below EPS0 times its
-    matrix-norm proxy (the leading R-diagonal entry or singular value).
-    Returns (values, ranks, nevals).
+    estimate (as soon as its span is solved).  g', the matrices
+    D/h + i diag(g') and the endpoint phases are each computed once over
+    all spans; each span's truncated solve uses the default threshold of
+    ``linalg``.  Returns (values, ranks, nevals).
     """
-    if solver not in SOLVERS:
-        raise ValueError(f"solver must be one of {SOLVERS}, got {solver!r}")
+    if solver not in linalg.SOLVERS:
+        raise ValueError(f"solver must be one of {linalg.SOLVERS}, got {solver!r}")
+    factor, apply = ((linalg.qr_factor, linalg.qr_apply) if solver == "qr"
+                     else (linalg.svd, linalg.tsvd_apply))
     spans = np.asarray(spans, dtype=np.float64)
     lo, hi = spans[:, 0], spans[:, 1]
     half = 0.5 * (hi - lo)
@@ -133,7 +134,7 @@ def panel_values(integrand: Integrand, spans, grid: chebyshev.ChebGrid, solver: 
             gs[idx] = np.asarray(integrand.g(moved), dtype=np.float64)
             nevals += idx.shape[0]
             if not (np.all(np.isfinite(fs[idx])) and np.all(np.isfinite(gs[idx]))):
-                raise PanelError(f"non-finite sample in {spans.tolist()} after nudge")
+                raise PanelError(f"non-finite sample in {spans.tolist()} after nudge", nevals)
         gs = gs.reshape(n, k, 1)
         # rounds like grid.diff @ gs[i]; gs @ grid.diff.T and einsum do not
         gprime = np.matmul(grid.diff, gs)[:, :, 0] / half[:, None]
@@ -144,39 +145,31 @@ def panel_values(integrand: Integrand, spans, grid: chebyshev.ChebGrid, solver: 
     if not np.isfinite(a).all():
         part = "g'" if not np.isfinite(gprime).all() else "D/h"
         raise PanelError(f"non-finite {part} in {spans.tolist()}: "
-                         "the collocation matrix overflows")
+                         "the collocation matrix overflows", nevals)
     fs = fs.reshape(n, k)
     phases = np.exp(1j * gs[:, :: k - 1, 0]).tolist()
     kernel = integrand.kernel
     want_conj = kernel != "exp" and bool(fs.imag.any())
     values, ranks = [], []
     try:
-        for ai, fi, (ea, eb) in zip(a, fs, phases):
-            if solver == "qr":
-                factors = linalg.qr_factor(ai)
-                thr, apply = linalg.EPS0 * factors.rdiag.item(0), linalg.qr_apply
-            else:
-                factors = linalg.svd(ai)
-                thr, apply = linalg.EPS0 * factors.sigma.item(0), linalg.tsvd_apply
-            if thr <= 0.0:
-                thr = _TINY
-            p, rank = apply(factors, fi, thr)
+        for i, (ai, fi, (ea, eb)) in enumerate(zip(a, fs, phases)):
+            factors = factor(ai)
+            p, rank = apply(factors, fi)
             # Python complex products round like numpy's scalar ones (module doc)
             p0, p1 = p[:: k - 1].tolist()
             value = p1 * eb - p0 * ea
             if want_conj:
-                pc0, pc1 = apply(factors, fi.conj(), thr)[0][:: k - 1].tolist()
+                pc0, pc1 = apply(factors, fi.conj())[0][:: k - 1].tolist()
                 value_neg = (pc1 * eb - pc0 * ea).conjugate()
                 value = 0.5 * (value + value_neg) if kernel == "cos" else (value - value_neg) / 2j
             elif kernel != "exp":
                 value = complex(value.real if kernel == "cos" else value.imag)
+            if not cmath.isfinite(value):
+                raise PanelError(f"non-finite panel estimate on {spans[i].tolist()}", nevals)
             values.append(value)
             ranks.append(rank)
     except linalg.LinalgError as exc:
-        raise PanelError(str(exc)) from exc
-    for i, value in enumerate(values):
-        if not cmath.isfinite(value):
-            raise PanelError(f"non-finite panel estimate on {spans[i].tolist()}")
+        raise PanelError(str(exc), nevals) from exc
     return values, ranks, nevals
 
 

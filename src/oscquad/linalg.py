@@ -12,6 +12,9 @@ factorization plus an apply step that takes the truncation threshold:
   diagonal against the same kind of threshold, followed by a minimum-norm
   solve restricted to the retained subspace.
 
+The default threshold, the Levin panels' truncation rule, is EPS0 times
+the matrix-norm proxy (the leading R-diagonal entry or singular value), or
+the smallest normal float when that product is 0 (an all-zero matrix).
 The factorizations themselves come from LAPACK (via numpy/scipy); the
 truncation and retained-subspace logic lives here.  LAPACK routines are
 prebound at import time because these solves sit on the hot path of the
@@ -31,6 +34,8 @@ from scipy.linalg import solve_triangular
 from scipy.linalg.lapack import get_lapack_funcs
 
 EPS0 = float(np.finfo(np.float64).eps)
+_TINY = float(np.finfo(np.float64).tiny)  # threshold for an all-zero matrix
+SOLVERS = ("qr", "svd")
 
 _ZPROTO = np.zeros((2, 2), dtype=np.complex128)
 _geqp3, _unmqr, _trtrs = get_lapack_funcs(("geqp3", "unmqr", "trtrs"), (_ZPROTO,))
@@ -68,14 +73,16 @@ def svd(a: np.ndarray) -> SvdFactors:
     return SvdFactors(u=u, sigma=s, v=vh.conj().T)
 
 
-def tsvd_apply(factors: SvdFactors, y: np.ndarray, threshold: float):
+def tsvd_apply(factors: SvdFactors, y: np.ndarray, threshold: float | None = None):
     """Solve using an existing SVD, truncated at ``threshold``.
 
     Retains the leading singular directions with sigma >= threshold (ties
-    included).  If none qualify the solution is identically zero with
-    rank 0.  Returns ``(x, rank_used)``.
+    included), by default EPS0 * sigma[0].  If none qualify the solution is
+    identically zero with rank 0.  Returns ``(x, rank_used)``.
     """
     s = factors.sigma
+    if threshold is None:
+        threshold = EPS0 * s.item(0) or _TINY
     rank = int(np.count_nonzero(s >= threshold))
     if rank == 0:
         return np.zeros(s.shape[0], dtype=np.complex128), 0
@@ -101,17 +108,19 @@ def qr_factor(a: np.ndarray) -> QrFactors:
     return QrFactors(qr, tau, jpvt.astype(np.intp) - 1, np.abs(qr.diagonal()))
 
 
-def qr_apply(factors: QrFactors, y: np.ndarray, threshold: float):
+def qr_apply(factors: QrFactors, y: np.ndarray, threshold: float | None = None):
     """Truncated solve from an existing pivoted QR factorization.
 
     The numerical rank l is the length of the leading run of R-diagonal
-    entries with |r_ii| >= threshold.  For l = k this is a plain
-    triangular solve; for l < k the minimum-norm solution of the retained
-    l x k system is computed via a second QR of its adjoint.
+    entries with |r_ii| >= threshold, by default EPS0 * |r_00|.  For l = k
+    this is a plain triangular solve; for l < k the minimum-norm solution of
+    the retained l x k system is computed via a second QR of its adjoint.
     """
     qr = factors.qr
     k = qr.shape[0]
     d = factors.rdiag
+    if threshold is None:
+        threshold = EPS0 * d.item(0) or _TINY
     if d.min() >= threshold:  # full rank, the common case
         rank = k
     else:  # a NaN entry fails the min test but is not below the threshold

@@ -14,6 +14,7 @@ harness caps it at lambda <= 1e4 by default).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -34,9 +35,15 @@ class GaussRule:
     weights: np.ndarray
 
 
-_RULES: dict[int, GaussRule] = {}
+def _legendre(n: int, x: np.ndarray):
+    """P_n(x) and P_n'(x) by the three-term recurrence, for |x| < 1."""
+    p0, p1 = np.ones_like(x), x
+    for m in range(2, n + 1):
+        p0, p1 = p1, ((2 * m - 1) * x * p1 - (m - 1) * p0) / m
+    return p1, n * (x * p1 - p0) / (x * x - 1.0)
 
 
+@functools.cache
 def gauss_rule(n: int) -> GaussRule:
     """Build (and cache) the n-point Gauss-Legendre rule.
 
@@ -47,40 +54,22 @@ def gauss_rule(n: int) -> GaussRule:
     """
     if not 1 <= n <= _MAX_POINTS:
         raise ValueError(f"point count must be in [1, {_MAX_POINTS}], got {n}")
-    rule = _RULES.get(n)
-    if rule is not None:
-        return rule
     x = np.cos(np.pi * (np.arange(1, n + 1) - 0.25) / (n + 0.5))
     for _ in range(100):
-        p0 = np.ones_like(x)
-        p1 = x.copy()
-        for m in range(2, n + 1):
-            p0, p1 = p1, ((2 * m - 1) * x * p1 - (m - 1) * p0) / m
-        dpn = n * (x * p1 - p0) / (x * x - 1.0)
-        dx = p1 / dpn
+        pn, dpn = _legendre(n, x)
+        dx = pn / dpn
         x = x - dx
         if np.max(np.abs(dx)) < 1e-15:
             break
     else:
         raise RuntimeError("Legendre root iteration did not converge")
-    # one clean-up pass for the weights, then symmetrize
-    p0 = np.ones_like(x)
-    p1 = x.copy()
-    for m in range(2, n + 1):
-        p0, p1 = p1, ((2 * m - 1) * x * p1 - (m - 1) * p0) / m
-    dpn = n * (x * p1 - p0) / (x * x - 1.0)
+    dpn = _legendre(n, x)[1]  # one clean-up pass for the weights, then symmetrize
     w = 2.0 / ((1.0 - x * x) * dpn * dpn)
     order = np.argsort(x)
-    x = x[order]
-    w = w[order]
-    x = 0.5 * (x - x[::-1])
-    w = 0.5 * (w + w[::-1])
-    if n % 2 == 1:
-        x[n // 2] = 0.0
-    rule = GaussRule(nodes=x, weights=w)
+    x, w = x[order], w[order]
+    rule = GaussRule(nodes=0.5 * (x - x[::-1]), weights=0.5 * (w + w[::-1]))
     rule.nodes.setflags(write=False)
     rule.weights.setflags(write=False)
-    _RULES[n] = rule
     return rule
 
 
@@ -112,7 +101,7 @@ def adaptive_gauss(fn: Callable[[np.ndarray], np.ndarray], a: float, b: float,
         with np.errstate(all="ignore"):
             ys = np.asarray(fn(xs), dtype=np.complex128)
         if not np.all(np.isfinite(ys)):
-            raise PanelError(f"non-finite sample in [{a0}, {b0}]")
+            raise PanelError(f"non-finite sample in [{a0}, {b0}]", 3 * n)
         v0 = h0 * (weights @ ys[:n])
         vl = hh * (weights @ ys[n:2 * n])
         vr = hh * (weights @ ys[2 * n:])

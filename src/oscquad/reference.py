@@ -34,6 +34,7 @@ integrals with phases +-m*x - kappa*sqrt(1-alpha*cos(x)), averaged; the
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -169,6 +170,9 @@ def _lambda(entry: NamedIntegral, params: dict) -> float:
     lam = float(params["lambda"])  # the truncations and closed forms need lambda > 0
     if lam <= 0:
         raise ValueError(f"{entry.id} needs lambda > 0")
+    if lam < sys.float_info.min:  # the closed forms overflow at a subnormal lambda
+        raise ValueError(f"{entry.id} needs lambda >= {sys.float_info.min!r} "
+                         f"(the smallest normal float), got {lam!r}")
     return lam
 
 

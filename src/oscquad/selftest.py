@@ -166,13 +166,17 @@ CHECKS = [
 
 
 def run(filter: str | None = None, out=None) -> int:
-    """Run the suite, print one line per check, return the failure count."""
+    """Run the suite, print one line per check, return the failure count.
+
+    A ``filter`` that is in the name of no check is a ValueError.
+    """
     import sys
     out = out or sys.stdout
+    checks = [(name, fn) for name, fn in CHECKS if not filter or filter in name]
+    if not checks:
+        raise ValueError(f"no self-test check name contains {filter!r}")
     failures = 0
-    for name, fn in CHECKS:
-        if filter and filter not in name:
-            continue
+    for name, fn in checks:
         try:
             fn()
         except Exception as exc:  # report and keep going

@@ -6,6 +6,7 @@ import pytest
 
 from oscquad import AdaptiveConfig, Integrand, adaptive, adaptive_integrate
 from oscquad.adaptive import accepted_pair_update
+from oscquad.levin import panel_trio
 
 
 def test_accept_exact_split():
@@ -83,17 +84,30 @@ def test_width_floor(monkeypatch):
     assert res.status == "width_floor"
 
 
-def test_panel_failure_after_splitting_to_floor():
+def test_panel_failure_after_splitting_to_floor(monkeypatch):
     # a wide non-finite region cannot be stepped over by subdivision, so
     # the failing panels split down to the width floor and the run stops
+    sampled = []
+
     def f(x):
+        sampled.append(x.size)
         out = np.ones_like(x)
         out[(x > 0.3) & (x < 0.4)] = np.nan
         return out
 
+    trios = []
+
+    def counted(*args):
+        trios.append(args)
+        return panel_trio(*args)
+
+    monkeypatch.setattr(adaptive, "panel_trio", counted)
     res = adaptive_integrate(Integrand(f=f, g=lambda x: 0.0 * x), 0.0, 1.0)
     assert res.status == "panel_failure"
     assert np.isfinite(res.value)
+    # every processed interval counts, the failed ones and their nudges too
+    assert res.intervals_used == 3 * len(trios)
+    assert res.fevals == sum(sampled)
 
 
 def test_overflow_in_the_solve_is_panel_failure():

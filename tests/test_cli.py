@@ -250,6 +250,10 @@ BAD_INPUTS = [
     ["sweep", "--paper-integral", "I1", "--decades", "300:400", "--count", "2"],
     ["compare", "--paper-integral", "I1", "--ranges", "1:10", "--max-oracle-lambda", "nan"],
     ["integrate", "--paper-integral", "I2", "--param", "lambda=-1"],
+    ["sweep", "--paper-integral", "I1", "--decades=-323.5:-323", "--count", "2"],
+    ["integrate", "--paper-integral", "I21", "--param", "kappa=100", "--param", "m=2",
+     "--param", "alpha=0.5", "--eps", "1e-3", "--eps-scale", "sqrt-kappa"],
+    ["selftest", "--filter", "nomatch"],
 ] + [argv for argv, _ in PARAM_CLASHES]
 
 
@@ -307,6 +311,17 @@ def test_overflowing_integrand_is_panel_failure(argv, capsys):
     assert code == 1
     assert json.loads(out)["status"] == "panel_failure"
     assert err == ""
+
+
+@pytest.mark.parametrize("solver", ["qr", "svd"])
+def test_failed_trios_are_counted(solver, capsys):
+    # every trio of f = 1e308 fails, 49 of them down to the width floor;
+    # each counts its three panels and its 36 samples
+    code, out, _ = run_cli(["integrate", "--f", "1e308", "--g", "x", "--a", "0",
+                            "--b", "1", "--solver", solver, "--no-timing"], capsys)
+    assert code == 1
+    doc = json.loads(out)
+    assert (doc["intervals"], doc["fevals"]) == (147, 1764)
 
 
 def test_unknown_integral_one_message(capsys):

@@ -159,3 +159,26 @@ def test_qr_factor_leaves_its_argument_unchanged():
         factors = linalg.qr_factor(a)
         np.testing.assert_array_equal(a, m)
         assert not np.shares_memory(factors.qr, a)
+
+
+def test_default_threshold_is_eps0_times_the_norm_proxy():
+    rng = np.random.default_rng(9)
+    k = 12
+    u0, v0 = random_unitary(rng, k), random_unitary(rng, k)
+    s = np.logspace(0, -3, k)
+    s[-3:] = 1e-20
+    y = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+    for a in ((u0 * s) @ v0.conj().T, rng.standard_normal((k, k)) + 0j):
+        qr, sv = linalg.qr_factor(a), linalg.svd(a)
+        for got, want in ((linalg.qr_apply(qr, y),
+                           linalg.qr_apply(qr, y, linalg.EPS0 * qr.rdiag[0])),
+                          (linalg.tsvd_apply(sv, y),
+                           linalg.tsvd_apply(sv, y, linalg.EPS0 * sv.sigma[0]))):
+            assert got[0].tobytes() == want[0].tobytes()
+            assert got[1] == want[1]
+    # an all-zero matrix: the threshold is the smallest normal float, not 0
+    zero = np.zeros((k, k), dtype=complex)
+    for x, rank in (linalg.qr_apply(linalg.qr_factor(zero), y),
+                    linalg.tsvd_apply(linalg.svd(zero), y)):
+        assert rank == 0
+        assert not x.any()

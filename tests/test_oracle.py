@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from oscquad import adaptive_gauss, gauss_rule
+from oscquad import adaptive_gauss, gauss_rule, oracle
 from oscquad import AdaptiveConfig, Integrand, adaptive_integrate
 
 
@@ -43,6 +43,26 @@ def test_rule_degree_exactness():
             exact = 0.0 if m % 2 else 2.0 / (m + 1)
             got = float(rule.weights @ rule.nodes ** m)
             assert abs(got - exact) <= 1e-13 * max(1.0, abs(exact)), (n, m)
+
+
+@pytest.mark.parametrize("n", [12, 30])
+def test_rule_matches_a_50_digit_refinement_of_its_nodes(n):
+    # numpy's leggauss(30) has weights off by 3e-13, so this pins what the
+    # hand-rolled rule is for
+    mpmath = pytest.importorskip("mpmath")
+    rule = gauss_rule(n)
+    with mpmath.workdps(50):
+        for x0, w0 in zip(rule.nodes, rule.weights):
+            x = mpmath.mpf(float(x0))
+            for _ in range(6):
+                pn, pm = mpmath.legendre(n, x), mpmath.legendre(n - 1, x)
+                dpn = n * (x * pn - pm) / (x * x - 1)
+                x -= pn / dpn
+            pn, pm = mpmath.legendre(n, x), mpmath.legendre(n - 1, x)
+            dpn = n * (x * pn - pm) / (x * x - 1)
+            w = 2 / ((1 - x * x) * dpn * dpn)
+            assert abs(x0 - x) <= 2.3e-16, (n, x0)
+            assert abs(w0 - w) <= 1e-14 * w, (n, x0)
 
 
 def test_rule_bounds():
@@ -86,14 +106,30 @@ def test_adaptive_counts_and_validation():
             adaptive_gauss(np.exp, 0.0, 1.0, tol=tol)
 
 
-def test_nan_region_is_panel_failure_with_the_partial_sum():
+def test_nan_region_is_panel_failure_with_the_partial_sum(monkeypatch):
     # the panels over (0.3, 0.4) fail down to the width floor; everything
     # accepted left of 0.3 is returned
+    sampled = []
+
     def f(x):
+        sampled.append(x.size)
         out = np.ones_like(x)
         out[(x > 0.3) & (x < 0.4)] = np.nan
         return out
 
+    trios = []
+    run_worklist = oracle._run_worklist
+
+    def counting(trio, *rest):
+        def counted(*args):
+            trios.append(args)
+            return trio(*args)
+        return run_worklist(counted, *rest)
+
+    monkeypatch.setattr(oracle, "_run_worklist", counting)
     res = adaptive_gauss(f, 0.0, 1.0)
     assert res.status == "panel_failure"
     assert abs(res.value - 0.3) <= 1e-13
+    # every processed interval counts, the failed ones too
+    assert res.intervals_used == 3 * len(trios)
+    assert res.fevals == sum(sampled) == 90 * len(trios)

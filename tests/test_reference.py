@@ -1,5 +1,6 @@
 import cmath
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -88,6 +89,21 @@ def test_closed_forms_need_positive_lambda(id):
         with pytest.raises(ValueError) as exc:
             closed_form_value(id, {"lambda": lam})
         assert str(exc.value) == f"{id} needs lambda > 0"
+
+
+def test_closed_forms_refuse_subnormal_lambda():
+    # at a subnormal lambda I1's 2/lam overflows and I4 and I7 turn
+    # invalid; from the smallest normal float on every form is right
+    for id in ("I1", "I2", "I4", "I7"):
+        for lam in (1e-310, 5e-324):
+            with pytest.raises(ValueError) as exc:
+                closed_form_value(id, {"lambda": lam})
+            assert str(exc.value) == (f"{id} needs lambda >= 2.2250738585072014e-308 "
+                                      f"(the smallest normal float), got {lam!r}")
+    tiny = {"lambda": sys.float_info.min}
+    assert closed_form_value("I1", tiny) == pytest.approx(math.pi / 2, rel=1e-15)
+    assert closed_form_value("I4", tiny) == pytest.approx(math.exp(10) - 1, rel=1e-15)
+    assert closed_form_value("I7", tiny) == pytest.approx(8.0, rel=1e-15)
 
 
 def test_nonconverged_component_status_is_passed_on(monkeypatch):
