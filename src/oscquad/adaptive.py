@@ -37,7 +37,7 @@ class AdaptiveConfig:
     eps
         Absolute acceptance tolerance of the whole-vs-halves test.
     k
-        Collocation order per panel.
+        Collocation order per panel, an integer in [4, 200].
     solver
         'qr' (rank-revealing QR, the fast path) or 'svd' (truncated SVD,
         the verification path).  Both produce the same estimates to well
@@ -51,8 +51,10 @@ class AdaptiveConfig:
     def __post_init__(self):
         if not (self.eps > 0.0 and np.isfinite(self.eps)):
             raise ValueError("eps must be finite and > 0")
-        if self.k < 4:
-            raise ValueError("collocation order must be >= 4")
+        # an integer (what operator.index takes); k x k arrays cap it at 200
+        if not (hasattr(self.k, "__index__") and 4 <= self.k <= 200):
+            raise ValueError(
+                f"collocation order must be an integer in [4, 200], got {self.k!r}")
         if self.solver not in linalg.SOLVERS:
             raise ValueError(f"solver must be one of {linalg.SOLVERS}, got {self.solver!r}")
 

@@ -18,16 +18,21 @@ checks the catalog id and the ranges of --decades, --ranges, --count,
 while the command runs: an expression that does not parse, a catalog
 parameter that is missing, not finite, out of its domain or not taken by
 the integral, a catalog id with any expression flag, a domain of infinite
-width, a tolerance ``AdaptiveConfig`` rejects.  ``main`` prints the message
-to stderr and returns the code instead of raising.  All floating-point
-output is rendered with 17 significant digits so values round-trip exactly.
+width, a tolerance or order ``AdaptiveConfig`` rejects, an --out path that
+cannot be opened (tried before any work).  So is an expression nested too
+deeply to parse or evaluate (a RecursionError).  ``main`` prints the
+message to stderr and returns the code instead of raising.  All
+floating-point output is rendered with 17 significant digits so values
+round-trip exactly.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import math
+import os
 import sys
 import time
 
@@ -44,24 +49,25 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _flag_type(usage):
-    """Make a flag parser's ValueError (or OverflowError) an argparse usage error."""
-    def wrap(parse):
-        def convert(text):
-            try:
-                return parse(text)
-            except (ValueError, OverflowError):
-                raise argparse.ArgumentTypeError(
-                    f"expected {usage}, got {text!r}") from None
-        return convert
-    return wrap
+def _flag(usage, parse, ok=lambda value: True):
+    """A flag converter: ``parse(text)``, if that raises no ValueError or
+    OverflowError and ``ok`` holds of it; otherwise an argparse usage error."""
+    def convert(text):
+        try:
+            value = parse(text)
+            if ok(value):
+                return value
+        except (ValueError, OverflowError):
+            pass
+        raise argparse.ArgumentTypeError(f"expected {usage}, got {text!r}")
+    return convert
 
 
 def _named_floats(text):
     name, values = text.split("=")
     if not name:
         raise ValueError(text)
-    return name, [float(v) for v in values.split(",")]
+    return name, *(float(v) for v in values.split(","))
 
 
 def _interval(text):
@@ -71,51 +77,16 @@ def _interval(text):
     return lo, hi
 
 
-@_flag_type("NAME=VALUE")
-def _param(text):
-    name, (value,) = _named_floats(text)
-    return name, value
-
-
-_grid = _flag_type("NAME=V1,V2,...")(_named_floats)
-
-
-@_flag_type("LO:HI with LO < HI, 10^LO > 0 and 10^HI finite")
-def _decades(text):
-    lo, hi = _interval(text)
-    if not (10.0 ** lo > 0.0 and math.isfinite(10.0 ** hi)):
-        raise ValueError(text)
-    return lo, hi
-
-
-@_flag_type("LO:HI,... with 0 < LO < HI")
-def _ranges(text):
-    ranges = [_interval(chunk) for chunk in text.split(",")]
-    if min(lo for lo, _ in ranges) <= 0.0:
-        raise ValueError(text)
-    return ranges
-
-
-def _float_flag(usage, ok):
-    """A flag converter: the float value, if ``ok(value)`` holds."""
-    def parse(text):
-        value = float(text)
-        if not ok(value):
-            raise ValueError(text)
-        return value
-    return _flag_type(usage)(parse)
-
-
-_tolerance = _float_flag("a finite number > 0", lambda v: 0.0 < v < math.inf)
-_max_lambda = _float_flag("a number that is not nan", lambda v: not math.isnan(v))
-
-
-@_flag_type("an integer >= 1")
-def _count(text):
-    count = int(text)
-    if count < 1:
-        raise ValueError(text)
-    return count
+_param = _flag("NAME=VALUE", _named_floats, lambda pair: len(pair) == 2)
+_grid = _flag("NAME=V1,V2,...", _named_floats)
+_decades = _flag("LO:HI with LO < HI, 10^LO > 0 and 10^HI finite", _interval,
+                 lambda lh: 10.0 ** lh[0] > 0.0 and math.isfinite(10.0 ** lh[1]))
+_ranges = _flag("LO:HI,... with 0 < LO < HI",
+                lambda text: [_interval(chunk) for chunk in text.split(",")],
+                lambda ranges: min(lo for lo, _ in ranges) > 0.0)
+_tolerance = _flag("a finite number > 0", float, lambda v: 0.0 < v < math.inf)
+_max_lambda = _flag("a number that is not nan", float, lambda v: not math.isnan(v))
+_count = _flag("an integer >= 1", int, lambda n: n >= 1)
 
 
 def _config(args, params) -> AdaptiveConfig:
@@ -170,11 +141,11 @@ def _runs(args, name, values, grid=None):
     """Evaluate the catalog integral once per (grid value, swept value).
 
     Parameter ``name`` takes each of ``values`` in turn, inside an outer
-    loop over the optional ``grid`` pair (NAME, [values]); the rest come
+    loop over the optional ``grid`` tuple (NAME, V1, V2, ...); the rest come
     from --param, which may set neither.  Yields (params, result, seconds),
     timing the evaluation alone.
     """
-    grid_name, grid_values = grid or (None, [None])
+    grid_name, *grid_values = grid or (None, None)
     for taken, what in ((name, "the swept parameter"), (grid_name, "the --grid-param one")):
         if taken in dict(args.param or ()):
             raise ValueError(f"--param {taken}: {taken} is {what}")
@@ -251,15 +222,35 @@ def cmd_compare(args) -> int:
     return 0
 
 
-def _write_csv(path, rows):
-    out = sys.stdout if path == "-" else open(path, "w", newline="")
+@contextlib.contextmanager
+def _csv_out(path):
+    """Yield the --out stream, opened before any work so that a path that
+    cannot be opened is bad input.  Append mode leaves an existing file as
+    it is until ``_write_csv`` replaces its content, and a file the open
+    created is removed again if the command raises."""
+    if path == "-":
+        yield sys.stdout
+        return
+    created = not os.path.exists(path)
     try:
-        writer = csv.DictWriter(out, fieldnames=list(rows[0]), lineterminator="\r\n")
-        writer.writeheader()
-        writer.writerows(rows)
-    finally:
-        if out is not sys.stdout:
-            out.close()
+        out = open(path, "a", newline="")
+    except OSError as exc:
+        raise ValueError(f"--out: {exc}") from None
+    try:
+        with out:
+            yield out
+    except BaseException:
+        if created:
+            os.remove(path)
+        raise
+
+
+def _write_csv(out, rows):
+    if out is not sys.stdout:
+        out.truncate(0)
+    writer = csv.DictWriter(out, fieldnames=list(rows[0]), lineterminator="\r\n")
+    writer.writeheader()
+    writer.writerows(rows)
 
 
 def cmd_selftest(args) -> int:
@@ -358,10 +349,11 @@ def main(argv=None) -> int:
 
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        with _csv_out(getattr(args, "out", "-")) as args.out:
+            return args.func(args)
     except SystemExit as exc:  # argparse: a usage error (2) or --help (0)
         return exc.code
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:  # only a deep expression recurses
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -143,6 +143,11 @@ def test_config_validation():
             AdaptiveConfig(eps=eps)
     with pytest.raises(ValueError):
         AdaptiveConfig(k=3)
+    # an integer in [4, 200]: k x k arrays, so 10**9 would ask for 8e18 bytes
+    for k in (12.0, 201, 10**9, "12"):
+        with pytest.raises(ValueError):
+            AdaptiveConfig(k=k)
+    assert AdaptiveConfig(k=np.int64(12)).k == 12
     with pytest.raises(ValueError):
         AdaptiveConfig(solver="lu")
     for a, b in ((0.0, math.inf), (-1e308, 1e308)):

@@ -254,7 +254,15 @@ BAD_INPUTS = [
     ["integrate", "--paper-integral", "I21", "--param", "kappa=100", "--param", "m=2",
      "--param", "alpha=0.5", "--eps", "1e-3", "--eps-scale", "sqrt-kappa"],
     ["selftest", "--filter", "nomatch"],
-] + [argv for argv, _ in PARAM_CLASHES]
+    ["integrate", "--paper-integral", "I1", "--param", "lambda=2", "--k", "201"],
+] + [argv for argv, _ in PARAM_CLASHES] + [
+    # nested past the recursion limit: the sum fails while it is evaluated
+    # (a chain of 1000 closures), the others while they are parsed
+    pytest.param(["integrate", f"--f={source}", "--g", "x", "--a", "0", "--b", "1"], id=name)
+    for name, source in (("1000-term sum", "+".join(["x"] * 1000)),
+                         ("400 parentheses", "(" * 400 + "x" + ")" * 400),
+                         ("2000 powers", "x^" * 2000 + "x"),
+                         ("1000 unary minus", "-" * 1000 + "x"))]
 
 
 @pytest.mark.parametrize("argv", BAD_INPUTS, ids=" ".join)
@@ -271,6 +279,75 @@ def test_bad_input_exit2(argv, capsys):
 def test_param_clash_names_the_parameter(argv, flag, capsys):
     _, _, err = run_cli(argv, capsys)
     assert err.startswith(f"error: {flag}: ")
+
+
+# Each flag converter's usage error, as argparse prints it last on stderr,
+# and --help of the program and of each subcommand, which exits 0.
+USAGE = [
+    (["sweep", "--paper-integral", "I1", "--count", "0"],
+     "argument --count: expected an integer >= 1, got '0'"),
+    *((["sweep", "--paper-integral", "I1", decades],
+      "argument --decades: expected LO:HI with LO < HI, 10^LO > 0 and 10^HI finite, "
+      f"got '{decades.split('=')[-1]}'")
+      for decades in ("--decades=300:400", "--decades=-400:-399", "--decades=2:1")),
+    *((["compare", "--paper-integral", "I1", f"--ranges={ranges}"],
+      f"argument --ranges: expected LO:HI,... with 0 < LO < HI, got '{ranges}'")
+      for ranges in ("0:10", "1:10,")),
+    (["compare", "--paper-integral", "I1", "--ranges", "1:10", "--oracle-tol", "inf"],
+     "argument --oracle-tol: expected a finite number > 0, got 'inf'"),
+    (["compare", "--paper-integral", "I1", "--ranges", "1:10", "--max-oracle-lambda", "nan"],
+     "argument --max-oracle-lambda: expected a number that is not nan, got 'nan'"),
+    (["sweep", "--paper-integral", "I9", "--grid-param", "m=abc"],
+     "argument --grid-param: expected NAME=V1,V2,..., got 'm=abc'"),
+    *((["integrate", "--paper-integral", "I1", f"--param={param}"],
+      f"argument --param: expected NAME=VALUE, got '{param}'")
+      for param in ("lambda", "=3")),
+    *((argv + ["--help"], None)
+      for argv in ([], ["integrate"], ["sweep"], ["compare"], ["selftest"])),
+]
+
+
+@pytest.mark.parametrize("argv, message", USAGE,
+                         ids=[" ".join(argv) for argv, _ in USAGE])
+def test_usage_messages(argv, message, capsys):
+    code, out, err = run_cli(argv, capsys)
+    if message is None:
+        assert (code, err) == (0, "")
+        assert out.startswith("usage: oscquad")
+    else:
+        assert (code, out) == (2, "")
+        assert err.splitlines()[-1] == f"oscquad {argv[0]}: error: {message}"
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--paper-integral", "I1", "--count", "2"],
+    ["compare", "--paper-integral", "I1", "--ranges", "1:10", "--samples", "2"],
+], ids=" ".join)
+def test_unwritable_out_exit2(argv, tmp_path, capsys):
+    path = tmp_path / "missing" / "x.csv"
+    code, out, err = run_cli([*argv, "--out", str(path)], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: --out: ")
+    assert "Traceback" not in err
+    assert not path.parent.exists()
+
+
+def test_out_is_replaced_only_by_a_run_that_finishes(tmp_path, capsys):
+    # --out is opened before any work: a run that then fails on bad input
+    # leaves an existing file as it was and creates no new one
+    old, new = tmp_path / "old.csv", tmp_path / "new.csv"
+    old.write_text("kept\n" * 1000)
+    for path in (old, new):
+        code, _, _ = run_cli(["sweep", "--paper-integral", "I1", "--param", "mu=3",
+                              "--out", str(path)], capsys)
+        assert code == 2
+    assert old.read_text() == "kept\n" * 1000
+    assert not new.exists()
+    argv = ["sweep", "--paper-integral", "I1", "--count", "2", "--no-timing"]
+    _, want, _ = run_cli(argv, capsys)
+    code, _, _ = run_cli([*argv, "--out", str(old)], capsys)
+    assert code == 0
+    assert old.read_bytes() == want.encode()
 
 
 def test_out_of_domain_lambda_names_the_rule(capsys):

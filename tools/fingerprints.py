@@ -81,6 +81,12 @@ CLI_RUNS = [
      "--count", "2"],
     ["integrate", "--paper-integral", "I1", "--param", "lambda=5", "--kernel", "exp"],
     ["integrate", "--f", "exp(-x^2)", "--g", "0", "--a=-1e308", "--b=1e308"],
+    ["integrate", "--f", "+".join(["x"] * 1000), "--g", "x", "--a", "0", "--b", "1",
+     "--no-timing"],
+    ["integrate", "--paper-integral", "I1", "--param", "lambda=2", "--k", "201",
+     "--no-timing"],
+    ["sweep", "--paper-integral", "I1", "--count", "2", "--out",
+     str(ROOT / "no-such-dir" / "x.csv"), "--no-timing"],
 ]
 
 # Evaluates every case in the checkout named by argv[1] and prints one JSON
