@@ -86,7 +86,7 @@ _ranges = _flag("LO:HI,... with 0 < LO < HI",
                 lambda ranges: min(lo for lo, _ in ranges) > 0.0)
 _tolerance = _flag("a finite number > 0", float, lambda v: 0.0 < v < math.inf)
 _max_lambda = _flag("a number that is not nan", float, lambda v: not math.isnan(v))
-_count = _flag("an integer >= 1", int, lambda n: n >= 1)
+_count = _flag("an integer in [1, 1000000]", int, lambda n: 1 <= n <= 1_000_000)
 
 
 def _config(args, params) -> AdaptiveConfig:

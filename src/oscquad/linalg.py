@@ -7,10 +7,10 @@ factorization plus an apply step that takes the truncation threshold:
   directions with sigma below the threshold are dropped, which yields a
   bounded-norm solution with a small residual whenever the system admits
   one (even when the matrix is numerically singular).
-* ``qr_factor`` + ``qr_apply``: the fast path.  Column-pivoted
-  (rank-revealing) QR with the rank decided by the magnitude of the R
-  diagonal against the same kind of threshold, followed by a minimum-norm
-  solve restricted to the retained subspace.
+* ``qr_factor`` + ``qr_apply``: the fast path.  Column-pivoted QR with the
+  rank decided by |diag R| against the same kind of threshold, then the
+  minimum-norm solution of the retained rows, through LAPACK's complete
+  orthogonal decomposition (``tzrzf``, ``trtrs``, ``unmrz``) if rank < k.
 
 The default threshold, the Levin panels' truncation rule, is EPS0 times
 the matrix-norm proxy (the leading R-diagonal entry or singular value), or
@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import solve_triangular
 from scipy.linalg.lapack import get_lapack_funcs
 
 EPS0 = float(np.finfo(np.float64).eps)
@@ -38,7 +37,8 @@ _TINY = float(np.finfo(np.float64).tiny)  # threshold for an all-zero matrix
 SOLVERS = ("qr", "svd")
 
 _ZPROTO = np.zeros((2, 2), dtype=np.complex128)
-_geqp3, _unmqr, _trtrs = get_lapack_funcs(("geqp3", "unmqr", "trtrs"), (_ZPROTO,))
+_geqp3, _unmqr, _trtrs, _tzrzf, _unmrz = get_lapack_funcs(
+    ("geqp3", "unmqr", "trtrs", "tzrzf", "unmrz"), (_ZPROTO,))
 
 
 class LinalgError(Exception):
@@ -112,9 +112,9 @@ def qr_apply(factors: QrFactors, y: np.ndarray, threshold: float | None = None):
     """Truncated solve from an existing pivoted QR factorization.
 
     The numerical rank l is the length of the leading run of R-diagonal
-    entries with |r_ii| >= threshold, by default EPS0 * |r_00|.  For l = k
-    this is a plain triangular solve; for l < k the minimum-norm solution of
-    the retained l x k system is computed via a second QR of its adjoint.
+    entries with |r_ii| >= threshold, by default EPS0 * |r_00|.  For l < k
+    the retained rows are written [R11 R12] = [T 0] Z with Z unitary, and
+    Z* [T^-1 c_l; 0] is the minimum-norm solution of that l x k system.
     """
     qr = factors.qr
     k = qr.shape[0]
@@ -136,13 +136,13 @@ def qr_apply(factors: QrFactors, y: np.ndarray, threshold: float | None = None):
         z, info = _trtrs(qr, c, lower=0, overwrite_b=1)
         if info != 0:
             raise LinalgError(f"triangular solve failed with info={info}")
-        x[factors.perm] = z[:, 0]
-    else:
-        # Minimum-norm solution of [R11 R12] z = c_l:  factor the adjoint,
-        # B* = Q2 R2, solve R2* w = c_l (lower triangular), z = Q2 w.
-        b = np.triu(qr)[:rank, :]
-        q2, r2 = np.linalg.qr(b.conj().T)
-        with np.errstate(all="ignore"):
-            w = solve_triangular(r2.conj().T, c[:rank, 0], lower=True, check_finite=False)
-            x[factors.perm] = q2 @ w
+    else:  # tzrzf copies the rows and reads only their upper trapezoid
+        t, ztau, info_tz = _tzrzf(qr[:rank])
+        w, info_tr = _trtrs(t[:, :rank], c[:rank], lower=0)
+        c[:rank], c[rank:] = w, 0.0
+        z, info = _unmrz(t, ztau, c, trans="C", overwrite_c=1)
+        if info_tz or info_tr or info:
+            raise LinalgError(f"complete orthogonal solve failed with info="
+                              f"{info_tz} (tzrzf), {info_tr} (trtrs), {info} (unmrz)")
+    x[factors.perm] = z[:, 0]
     return x, rank

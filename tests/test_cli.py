@@ -255,6 +255,8 @@ BAD_INPUTS = [
      "--param", "alpha=0.5", "--eps", "1e-3", "--eps-scale", "sqrt-kappa"],
     ["selftest", "--filter", "nomatch"],
     ["integrate", "--paper-integral", "I1", "--param", "lambda=2", "--k", "201"],
+    ["sweep", "--paper-integral", "I1", "--count", "1000000000"],
+    ["compare", "--paper-integral", "I1", "--ranges", "1:10", "--samples", "1000001"],
 ] + [argv for argv, _ in PARAM_CLASHES] + [
     # nested past the recursion limit: the sum fails while it is evaluated
     # (a chain of 1000 closures), the others while they are parsed
@@ -285,7 +287,9 @@ def test_param_clash_names_the_parameter(argv, flag, capsys):
 # and --help of the program and of each subcommand, which exits 0.
 USAGE = [
     (["sweep", "--paper-integral", "I1", "--count", "0"],
-     "argument --count: expected an integer >= 1, got '0'"),
+     "argument --count: expected an integer in [1, 1000000], got '0'"),
+    (["compare", "--paper-integral", "I1", "--ranges", "1:10", "--samples", "1000001"],
+     "argument --samples: expected an integer in [1, 1000000], got '1000001'"),
     *((["sweep", "--paper-integral", "I1", decades],
       "argument --decades: expected LO:HI with LO < HI, 10^LO > 0 and 10^HI finite, "
       f"got '{decades.split('=')[-1]}'")

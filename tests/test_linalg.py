@@ -1,7 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
+from scipy.linalg.lapack import zungqr
 
-from oscquad import linalg
+from oscquad import Integrand, PanelError, chebyshev, linalg
+from oscquad.levin import panel_values
 from helpers import gauss_solve, random_unitary
 
 
@@ -182,3 +186,73 @@ def test_default_threshold_is_eps0_times_the_norm_proxy():
                     linalg.tsvd_apply(linalg.svd(zero), y)):
         assert rank == 0
         assert not x.any()
+
+
+def _planted_rank_deficient(rng, rank, tail):
+    k = 12
+    s = np.logspace(0, -3, k)
+    s[rank:] = tail
+    return (random_unitary(rng, k) * s) @ random_unitary(rng, k).conj().T
+
+
+@pytest.mark.parametrize("tail", [0.0, 1e-20])
+@pytest.mark.parametrize("rank", range(1, 12))
+def test_qr_truncated_apply_is_the_minimum_norm_solution(rank, tail):
+    # trailing singular values of exactly 0 or 1e-20 relative, against a
+    # threshold that separates them from the 1..1e-3 retained ones
+    rng = np.random.default_rng(100 + rank)
+    k = 12
+    a = _planted_rank_deficient(rng, rank, tail)
+    y = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+    factors = linalg.qr_factor(a)
+    saved = [np.array(part, copy=True) for part in factors]
+    x, got_rank = linalg.qr_apply(factors, y, 1e-10 * factors.rdiag[0])
+    assert got_rank == rank
+    # reference: Q from the Householder vectors, the pseudoinverse of the
+    # retained rows R[:l, :], and the column permutation undone
+    q, _work, info = zungqr(factors.qr, factors.tau)
+    assert info == 0
+    r = np.triu(factors.qr)
+    assert np.linalg.norm(q @ r - a[:, factors.perm]) <= 1e-13
+    want = np.zeros(k, dtype=complex)
+    want[factors.perm] = np.linalg.pinv(r[:rank]) @ (q.conj().T @ y)[:rank]
+    assert np.linalg.norm(x - want) <= 1e-12 * np.linalg.norm(want)
+    # the cos/sin path applies one factorization twice: same bits, and the
+    # factors are left as they were
+    again, again_rank = linalg.qr_apply(factors, y, 1e-10 * factors.rdiag[0])
+    assert (again.tobytes(), again_rank) == (x.tobytes(), got_rank)
+    for before, after in zip(saved, factors):
+        np.testing.assert_array_equal(before, after)
+
+
+def test_qr_truncated_apply_overflow_is_nonfinite_without_warning():
+    rng = np.random.default_rng(11)
+    factors = linalg.qr_factor(_planted_rank_deficient(rng, 6, 0.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        x, rank = linalg.qr_apply(factors, np.full(12, 1e308 + 0j), 1e-10)
+    assert rank == 6
+    assert not np.isfinite(x).all()
+
+
+def test_overflowing_truncated_panel_is_panel_failure():
+    # g = 0 leaves D/h, which has rank k - 1, and Q* f overflows
+    integrand = Integrand(f=lambda x: np.full_like(x, 1e308), g=lambda x: 0.0 * x)
+    grid = chebyshev.grid()
+    a = grid.diff / 0.5
+    assert linalg.qr_apply(linalg.qr_factor(a + 0j), np.ones(grid.k))[1] < grid.k
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PanelError, match="non-finite panel estimate"):
+            panel_values(integrand, [(0.0, 1.0)], grid, "qr")
+
+
+@pytest.mark.parametrize("routine", ["_tzrzf", "_trtrs", "_unmrz"])
+def test_truncated_apply_raises_on_lapack_info(routine, monkeypatch):
+    rng = np.random.default_rng(12)
+    factors = linalg.qr_factor(_planted_rank_deficient(rng, 6, 0.0))
+    bound = getattr(linalg, routine)
+    monkeypatch.setattr(linalg, routine, lambda *args, **kwargs: (
+        *bound(*args, **kwargs)[:-1], -1))
+    with pytest.raises(linalg.LinalgError, match=f"-1 \\({routine[1:]}\\)"):
+        linalg.qr_apply(factors, np.ones(12, dtype=complex), 1e-10)

@@ -16,10 +16,13 @@ Then each command of CLI_RUNS runs as ``python -W error -m oscquad.cli``
 against each side's ``src/``, the two sides at the same time, and its
 stdout and exit code are compared.
 
-The tool prints the number of cases and commands compared, each case
-whose fingerprint differs and each command whose stdout or exit code
-differs (with the last stderr line of each side), and exits 1 if any
-does.
+The tool prints the number of cases and commands compared, then two
+groups of differing cases: each case whose ``intervals_used``, ``fevals``
+or status differs, and, per workload and route, the cases that differ
+only in value bits (how many, their ids and the largest relative
+|change in value|).  Last it prints each command whose stdout or exit
+code differs (with the last stderr line of each side).  It exits 1 if
+any case or command differs.
 """
 
 import argparse
@@ -87,6 +90,12 @@ CLI_RUNS = [
      "--no-timing"],
     ["sweep", "--paper-integral", "I1", "--count", "2", "--out",
      str(ROOT / "no-such-dir" / "x.csv"), "--no-timing"],
+    # Refused before any work.  A commit without the [1, 1000000] bound
+    # asks for 8 GB of lambda values (sweep) or a million integrals per
+    # range (compare): leave these two out when comparing with one.
+    ["sweep", "--paper-integral", "I1", "--count", "1000000000", "--no-timing"],
+    ["compare", "--paper-integral", "I1", "--ranges", "1:10", "--samples", "1000001",
+     "--no-timing"],
 ]
 
 # Evaluates every case in the checkout named by argv[1] and prints one JSON
@@ -111,6 +120,12 @@ for name in workloads.WORKLOADS:
                               r.status]])
 print(json.dumps(rows))
 """
+
+
+def relative_change(old, new):
+    """|new value - old value| / |old value| of two fingerprints."""
+    before, after = (complex(float.fromhex(fp[0]), float.fromhex(fp[1])) for fp in (old, new))
+    return abs(after - before) / abs(before) if before else abs(after - before)
 
 
 def compare_cli(parent_root, env):
@@ -156,12 +171,25 @@ def main(argv=None):
         sys.exit("the two sides evaluated different cases")
     differ = [(old, new) for old, new in zip(rows["parent"], rows["change"])
               if old[6] != new[6]]
+    counted, value_only = [], {}  # value_only: keyed by (workload, route)
+    for old, new in differ:
+        if old[6][2:] != new[6][2:]:
+            counted.append((old, new))
+        else:
+            value_only.setdefault((old[0], old[2]), []).append((old, new))
     print(f"{len(rows['change'])} cases compared against {parent[:12]}, "
           f"{len(differ)} differ")
-    for old, new in differ:
+    print(f"{len(counted)} differ in intervals_used, fevals or status")
+    for old, new in counted:
         name, seed, route, i, id_, params = old[:6]
-        print(f"{name} seed {seed} {route} #{i} {id_} {params}: "
+        print(f"  {name} seed {seed} {route} #{i} {id_} {params}: "
               f"parent {old[6]} change {new[6]}")
+    print(f"{len(differ) - len(counted)} differ only in value bits")
+    for (name, route), pairs in value_only.items():
+        ids = sorted({old[4] for old, _ in pairs})
+        worst = max(relative_change(old[6], new[6]) for old, new in pairs)
+        print(f"  {name} {route}: {len(pairs)} cases ({', '.join(ids)}), "
+              f"largest relative |change in value| {worst:.2g}")
     print(f"{len(CLI_RUNS)} CLI commands compared, {len(cli_differ)} differ")
     for argv, old, new, stdout_differs, (old_err, new_err) in cli_differ:
         print(f"oscquad {shlex.join(argv)}: exit {old} -> {new}"
