@@ -19,11 +19,10 @@ while the command runs: an expression that does not parse, a catalog
 parameter that is missing, not finite, out of its domain or not taken by
 the integral, a catalog id with any expression flag, a domain of infinite
 width, a tolerance or order ``AdaptiveConfig`` rejects, an --out path that
-cannot be opened (tried before any work).  So is an expression nested too
-deeply to parse or evaluate (a RecursionError).  ``main`` prints the
-message to stderr and returns the code instead of raising.  All
-floating-point output is rendered with 17 significant digits so values
-round-trip exactly.
+cannot be opened (tried before any work), or an expression nested too
+deeply to parse or evaluate.  ``main`` prints the message to stderr and
+returns the code instead of raising.  All floating-point output is
+rendered with 17 significant digits so values round-trip exactly.
 """
 
 from __future__ import annotations
@@ -353,7 +352,7 @@ def main(argv=None) -> int:
             return args.func(args)
     except SystemExit as exc:  # argparse: a usage error (2) or --help (0)
         return exc.code
-    except (ValueError, RecursionError) as exc:  # only a deep expression recurses
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

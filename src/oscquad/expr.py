@@ -195,12 +195,19 @@ def compile_fn(source: str, params=None):
     Parameters are bound from ``params`` at compile time.  A syntax error
     raises ParseError; otherwise the first name in source order that is
     not ``x``, a constant or a parameter raises EvalError.  A constant
-    expression is broadcast to the shape of the argument.
+    expression is broadcast to the shape of the argument.  Source nested
+    too deeply for Python's recursion limit raises ParseError if it is too
+    deep to parse, and the compiled function raises EvalError if it is too
+    deep to evaluate.
     """
     parser = _Parser(source, params)
-    # constant nodes are computed here; inf and nan are values, not errors
-    with np.errstate(all="ignore"):
-        body = parser.expr()
+    try:
+        # constant nodes are computed here; inf and nan are values, not errors
+        with np.errstate(all="ignore"):
+            body = parser.expr()
+    except RecursionError:
+        offset = parser.tokens[min(parser.pos, len(parser.tokens) - 1)][2]
+        raise ParseError("expression nested too deeply", offset) from None
     kind, text, off = parser.peek()
     if kind != "eof":
         raise ParseError(f"unexpected {text!r}", off)
@@ -208,4 +215,11 @@ def compile_fn(source: str, params=None):
         raise EvalError(f"unbound parameter {parser.unbound!r}")
     if isinstance(body, float):
         return lambda x: np.full(np.shape(x), body)
-    return body
+
+    def fn(x):
+        try:
+            return body(x)
+        except RecursionError:
+            raise EvalError("expression nested too deeply to evaluate") from None
+
+    return fn

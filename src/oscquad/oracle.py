@@ -3,9 +3,11 @@
 Cross-validation for the collocation-based integrator.  Panels are plain
 30-point Gauss-Legendre estimates and the adaptive acceptance is the same
 whole-vs-halves comparison used by the main driver, with the unsplit
-panel value accumulated on acceptance.  Nothing numeric
-is shared with the Levin panels beyond the worklist logic, so agreement
-between the two is meaningful evidence of correctness.
+panel value accumulated on acceptance.  An interval and its two halves
+are sampled in one call of ``fn`` and summed by one (3, 30) x 30
+matrix-vector product.  Nothing numeric is shared with the Levin panels
+beyond the worklist logic, so agreement between the two is meaningful
+evidence of correctness.
 
 Being oblivious to the oscillator, the cost grows linearly with frequency;
 callers should keep it away from very high frequencies (the benchmark
@@ -93,18 +95,19 @@ def adaptive_gauss(fn: Callable[[np.ndarray], np.ndarray], a: float, b: float,
     def trio(a0, c0, b0):
         h0 = 0.5 * (b0 - a0)
         hh = 0.5 * h0
-        xs = np.concatenate((
-            (a0 + h0) + h0 * nodes,
-            (a0 + hh) + hh * nodes,
-            (c0 + hh) + hh * nodes,
-        ))
-        with np.errstate(all="ignore"):
-            ys = np.asarray(fn(xs), dtype=np.complex128)
-        if not np.all(np.isfinite(ys)):
-            raise PanelError(f"non-finite sample in [{a0}, {b0}]", 3 * n)
-        v0 = h0 * (weights @ ys[:n])
-        vl = hh * (weights @ ys[n:2 * n])
-        vr = hh * (weights @ ys[2 * n:])
+        # one row per panel, the whole then its halves: each point is mid + half * node
+        mids = np.array((a0 + h0, a0 + hh, c0 + hh))
+        halves = np.array((h0, hh, hh))
+        xs = mids[:, None] + halves[:, None] * nodes
+        ys = np.asarray(fn(xs.ravel()), dtype=np.complex128)
+        # the weights are positive, so a non-finite sample makes its sum non-finite
+        values = halves * (ys.reshape(3, n) @ weights)
+        if not np.isfinite(values).all():
+            raise PanelError(f"non-finite sample or estimate in [{a0}, {b0}]", 3 * n)
+        v0, vl, vr = values.tolist()
         return v0, vl, vr, 3 * n
 
-    return _run_worklist(trio, a, b, tol)
+    # fn or a weighted sum may overflow or be undefined; the check above
+    # catches every non-finite result, so numpy's warnings are silenced once
+    with np.errstate(all="ignore"):
+        return _run_worklist(trio, a, b, tol)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import erf
 
-from oscquad import expr
+from oscquad import Integrand, adaptive_integrate, expr
 
 
 def ev(src, x=0.0, **params):
@@ -277,3 +277,17 @@ def test_compiled_trees_match_ufunc_oracle_bit_for_bit(tree):
             got = expr.compile_fn(src, params)(GRID)
             assert got.shape == GRID.shape, src
             assert _same_bits(np.asarray(got, dtype=np.float64), want), src
+
+
+@pytest.mark.parametrize("src", ["(" * 400 + "x" + ")" * 400, "x^" * 2000 + "x",
+                                 "-" * 1000 + "x"], ids=["parentheses", "powers", "minus"])
+def test_too_deep_to_parse_is_a_parse_error(src):
+    with pytest.raises(expr.ParseError, match="nested too deeply"):
+        expr.compile_fn(src)
+
+
+def test_too_deep_to_evaluate_is_an_eval_error():
+    # a 1000-term sum parses in a loop but evaluates as 1000 nested closures
+    f = expr.compile_fn("+".join(["x"] * 1000))
+    with pytest.raises(expr.EvalError, match="nested too deeply"):
+        adaptive_integrate(Integrand(f=f, g=lambda x: x), 0.0, 1.0)

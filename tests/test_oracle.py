@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -106,6 +107,21 @@ def test_adaptive_counts_and_validation():
             adaptive_gauss(np.exp, 0.0, 1.0, tol=tol)
 
 
+def record_trios(monkeypatch):
+    """Make adaptive_gauss record the (a0, c0, b0) of each trio it evaluates."""
+    trios = []
+    run_worklist = oracle._run_worklist
+
+    def recording(trio, *rest):
+        def recorded(*args):
+            trios.append(args)
+            return trio(*args)
+        return run_worklist(recorded, *rest)
+
+    monkeypatch.setattr(oracle, "_run_worklist", recording)
+    return trios
+
+
 def test_nan_region_is_panel_failure_with_the_partial_sum(monkeypatch):
     # the panels over (0.3, 0.4) fail down to the width floor; everything
     # accepted left of 0.3 is returned
@@ -117,19 +133,79 @@ def test_nan_region_is_panel_failure_with_the_partial_sum(monkeypatch):
         out[(x > 0.3) & (x < 0.4)] = np.nan
         return out
 
-    trios = []
-    run_worklist = oracle._run_worklist
-
-    def counting(trio, *rest):
-        def counted(*args):
-            trios.append(args)
-            return trio(*args)
-        return run_worklist(counted, *rest)
-
-    monkeypatch.setattr(oracle, "_run_worklist", counting)
+    trios = record_trios(monkeypatch)
     res = adaptive_gauss(f, 0.0, 1.0)
     assert res.status == "panel_failure"
     assert abs(res.value - 0.3) <= 1e-13
     # every processed interval counts, the failed ones too
     assert res.intervals_used == 3 * len(trios)
     assert res.fevals == sum(sampled) == 90 * len(trios)
+
+
+def test_trio_samples_each_panel_as_mid_plus_half_times_nodes(monkeypatch):
+    # the three panels are sampled in one call, but every point keeps the
+    # bits of its own panel's mid + half * node
+    sampled = []
+    trios = record_trios(monkeypatch)
+
+    def f(x):
+        sampled.append(x.copy())
+        return np.cos(60 * x)
+
+    res = adaptive_gauss(f, 0.1, 2.3)
+    assert res.status == "converged" and len(trios) > 1
+    assert type(res.value) is complex
+    nodes = gauss_rule(30).nodes
+    for (a0, c0, b0), xs in zip(trios, sampled, strict=True):
+        h0 = 0.5 * (b0 - a0)
+        hh = 0.5 * h0
+        want = np.concatenate(((a0 + h0) + h0 * nodes, (a0 + hh) + hh * nodes,
+                               (c0 + hh) + hh * nodes))
+        assert xs.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, complex(0.0, math.inf)])
+def test_non_finite_samples_are_panel_failure(value):
+    def f(x):
+        out = np.ones_like(x, dtype=np.complex128)
+        out[(x > 0.3) & (x < 0.4)] = value
+        return out
+
+    res = adaptive_gauss(f, 0.0, 1.0)
+    assert res.status == "panel_failure"
+    assert abs(res.value - 0.3) <= 1e-13
+
+
+def test_runs_emit_no_warning_and_keep_the_callers_errstate():
+    def raising(x):
+        raise KeyError("from fn")
+
+    runs = [(lambda x: np.exp(-1e4 * x), "converged"),  # underflows
+            (lambda x: np.sqrt(0.3 - x), "panel_failure"),  # invalid right of 0.3
+            # every sample finite, but the weighted sum overflows at any width
+            (lambda x: np.full(x.shape, 1e308), "panel_failure"),
+            (raising, None)]
+    for fn, status in runs:
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            before = np.geterr()
+            if status is None:
+                with pytest.raises(KeyError):
+                    adaptive_gauss(fn, 0.0, 1.0)
+            else:
+                assert adaptive_gauss(fn, 0.0, 1.0).status == status
+            assert np.geterr() == before
+
+
+def test_concurrent_runs_match_serial():
+    from concurrent.futures import ThreadPoolExecutor
+
+    def job(lam):
+        res = adaptive_gauss(lambda x: np.exp(1j * lam * x * x) / (1 + x * x), -1.0, 1.0)
+        return res.value, res.intervals_used, res.fevals, res.status
+
+    lams = [10.0, 100.0, 1e3, 3e3] * 2
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        parallel = list(pool.map(job, lams))
+    serial = [job(lam) for lam in lams]
+    assert parallel == serial

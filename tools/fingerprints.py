@@ -14,20 +14,24 @@ same time, one process each.
 
 Then each command of CLI_RUNS runs as ``python -W error -m oscquad.cli``
 against each side's ``src/``, the two sides at the same time, and its
-stdout and exit code are compared.
+stdout and exit code are compared.  Each side runs with an address space
+of CLI_ADDRESS_SPACE bytes, and one still running CLI_TIMEOUT seconds
+after its output is first read is killed.  A side that times out or is
+refused memory (a MemoryError) counts as a difference.
 
 The tool prints the number of cases and commands compared, then two
 groups of differing cases: each case whose ``intervals_used``, ``fevals``
 or status differs, and, per workload and route, the cases that differ
 only in value bits (how many, their ids and the largest relative
 |change in value|).  Last it prints each command whose stdout or exit
-code differs (with the last stderr line of each side).  It exits 1 if
-any case or command differs.
+code differs, or that ran out of time or memory (with the last stderr
+line of each side).  It exits 1 if any case or command differs.
 """
 
 import argparse
 import json
 import os
+import resource
 import shlex
 import subprocess
 import sys
@@ -36,6 +40,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = (1, 7)
+CLI_TIMEOUT = 60.0  # seconds; the longest CLI_RUNS command takes about 2
+CLI_ADDRESS_SPACE = 2 ** 30  # bytes; every CLI_RUNS command runs under 2 ** 28
 
 # The README examples (to stdout), the criterion-8 commands, other output
 # paths, every kind of expression error, and bad input.  Each command that
@@ -92,7 +98,8 @@ CLI_RUNS = [
      str(ROOT / "no-such-dir" / "x.csv"), "--no-timing"],
     # Refused before any work.  A commit without the [1, 1000000] bound
     # asks for 8 GB of lambda values (sweep) or a million integrals per
-    # range (compare): leave these two out when comparing with one.
+    # range (compare); there the address-space cap refuses the first and
+    # the timeout ends the second, and both show as differences.
     ["sweep", "--paper-integral", "I1", "--count", "1000000000", "--no-timing"],
     ["compare", "--paper-integral", "I1", "--ranges", "1:10", "--samples", "1000001",
      "--no-timing"],
@@ -128,17 +135,36 @@ def relative_change(old, new):
     return abs(after - before) / abs(before) if before else abs(after - before)
 
 
+def cap_address_space():
+    """Run in the child before it execs: cap its address space."""
+    resource.setrlimit(resource.RLIMIT_AS, (CLI_ADDRESS_SPACE, CLI_ADDRESS_SPACE))
+
+
+def finish(proc):
+    """(exit code, stdout, stderr) of a CLI run; the code is 'timeout' for a
+    run killed after CLI_TIMEOUT seconds and 'out of memory' for one
+    refused memory."""
+    try:
+        out, err = proc.communicate(timeout=CLI_TIMEOUT)
+    except subprocess.TimeoutExpired:
+        proc.kill()
+        out, err = proc.communicate()
+        return "timeout", out, err
+    return ("out of memory" if "MemoryError" in err else proc.returncode), out, err
+
+
 def compare_cli(parent_root, env):
-    """The CLI_RUNS entries whose stdout or exit code differ between the sides."""
+    """The CLI_RUNS entries whose stdout or exit code differ between the sides,
+    or where either side ran out of time or memory."""
     differ = []
     for argv in CLI_RUNS:
         procs = [subprocess.Popen([sys.executable, "-B", "-W", "error", "-m", "oscquad.cli",
                                    *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                                  env=dict(env, PYTHONPATH=str(root / "src")), text=True)
+                                  env=dict(env, PYTHONPATH=str(root / "src")), text=True,
+                                  preexec_fn=cap_address_space)
                  for root in (parent_root, ROOT)]
-        (old_out, old_err), (new_out, new_err) = (proc.communicate() for proc in procs)
-        old, new = procs[0].returncode, procs[1].returncode
-        if (old, old_out) != (new, new_out):
+        (old, old_out, old_err), (new, new_out, new_err) = map(finish, procs)
+        if (old, old_out) != (new, new_out) or isinstance(old, str) or isinstance(new, str):
             last = [(err.strip().splitlines() or ["(none)"])[-1] for err in (old_err, new_err)]
             differ.append((argv, old, new, old_out != new_out, last))
     return differ
