@@ -3,10 +3,12 @@
 The driver keeps a worklist of intervals, initially just [a, b].  For each
 popped interval it computes the panel estimate for the whole interval and
 for its two halves; if the whole-interval estimate agrees with the sum of
-the half estimates to within the absolute tolerance, the *unsplit*
-estimate is added to the running total, otherwise both halves go back on
-the worklist.  The worklist is a LIFO stack, so runs are deterministic and
-memory stays proportional to the subdivision depth.
+the half estimates to within the absolute tolerance (or, for values so
+large that the tolerance is below their rounding, to within 16 machine
+epsilons of their magnitude), the *unsplit* estimate is added to the
+running total, otherwise both halves go back on the worklist.  The
+worklist is a LIFO stack, so runs are deterministic and memory stays
+proportional to the subdivision depth.
 
 Safety rails absent from the basic scheme, both fixed and reported
 through ``QuadResult.status``: a budget of MAX_INTERVALS processed
@@ -27,7 +29,8 @@ from . import chebyshev, linalg
 from .levin import Integrand, PanelError, check_domain, panel_trio
 
 MAX_INTERVALS = 2 ** 20
-MIN_WIDTH_FACTOR = 16.0 * linalg.EPS0
+ROUNDOFF = 16.0 * linalg.EPS0  # unit of the width floor and the acceptance floor
+MIN_WIDTH_FACTOR = ROUNDOFF
 
 
 @dataclass(frozen=True)
@@ -35,7 +38,8 @@ class AdaptiveConfig:
     """Settings of the adaptive integrator.
 
     eps
-        Absolute acceptance tolerance of the whole-vs-halves test.
+        Absolute acceptance tolerance of the whole-vs-halves test,
+        floored at 16 machine epsilons of the panel values' magnitude.
     k
         Collocation order per panel, an integer in [4, 200].
     solver
@@ -80,9 +84,13 @@ def accepted_pair_update(val0: complex, val_l: complex, val_r: complex,
     """Whole-vs-halves acceptance test.
 
     True (accept, accumulate the unsplit val0) iff |val0 - (val_l + val_r)|
-    is strictly below eps; a difference of exactly eps splits.
+    is strictly below max(eps, ROUNDOFF * max(|val0|, |val_l| + |val_r|));
+    a difference of exactly that splits.  The second term floors eps at
+    the roundoff of the panel values, so an integrand of large magnitude
+    is not split until its panels agree to below their own rounding.
     """
-    return abs(val0 - (val_l + val_r)) < eps
+    diff = abs(val0 - (val_l + val_r))
+    return diff < eps or diff < ROUNDOFF * max(abs(val0), abs(val_l) + abs(val_r))
 
 
 def _run_worklist(trio, a: float, b: float, eps: float) -> QuadResult:
@@ -120,15 +128,13 @@ def _run_worklist(trio, a: float, b: float, eps: float) -> QuadResult:
             if 0.5 * (b0 - a0) < floor:
                 status = "panel_failure"
                 break
-            stack.append((c0, b0))
-            stack.append((a0, c0))
-            continue
-        fevals += ne
-        if accepted_pair_update(v0, vl, vr, eps):
-            val += v0
         else:
-            stack.append((c0, b0))
-            stack.append((a0, c0))
+            fevals += ne
+            if accepted_pair_update(v0, vl, vr, eps):
+                val += v0
+                continue
+        stack.append((c0, b0))
+        stack.append((a0, c0))
     return QuadResult(value=val, intervals_used=panels, fevals=fevals, status=status)
 
 

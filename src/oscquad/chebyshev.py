@@ -63,9 +63,8 @@ def diff_matrix(k: int) -> np.ndarray:
     the negated-row-sum trick for the diagonal, which makes the matrix
     annihilate constants to machine precision.  Differentiation of any
     polynomial of degree < k sampled at the nodes is exact to roundoff.
+    ``cheb_nodes`` rejects k < 2.
     """
-    if k < 2:
-        raise ValueError(f"collocation order must be >= 2, got {k}")
     x = cheb_nodes(k)
     c = np.ones(k)
     c[0] = 2.0

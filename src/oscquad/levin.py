@@ -43,7 +43,7 @@ import numpy as np
 
 from . import chebyshev, linalg
 
-KERNELS = ("exp", "cos", "sin")
+KERNELS = {"exp": lambda g: np.exp(1j * g), "cos": np.cos, "sin": np.sin}
 
 # Inward shift, as a fraction of the width of the sample's own panel, used
 # to re-evaluate an endpoint whose sample came back non-finite (integrable
@@ -66,7 +66,8 @@ class Integrand:
     ``f`` maps a float ndarray to complex (or real) values, ``g`` maps a
     float ndarray to real values; both must accept vector arguments and be
     safe to call concurrently.  ``kernel`` selects exp(i g), cos(g) or
-    sin(g).
+    sin(g).  Calling it gives f(x) * kernel(g(x)), the direct form that
+    ``adaptive_gauss`` integrates.
     """
 
     f: Callable[[np.ndarray], np.ndarray]
@@ -75,7 +76,10 @@ class Integrand:
 
     def __post_init__(self):
         if self.kernel not in KERNELS:
-            raise ValueError(f"kernel must be one of {KERNELS}, got {self.kernel!r}")
+            raise ValueError(f"kernel must be one of {tuple(KERNELS)}, got {self.kernel!r}")
+
+    def __call__(self, x):
+        return self.f(x) * KERNELS[self.kernel](self.g(x))
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,9 @@
 
 Each entry is one record holding all that any route needs: f, g and the
 kernel as expression strings over the variable x plus named parameters,
-the domain, the closed form where one is known (I1, I2, I4, I7), and the
-reference route's direct integrand where it is not f*kernel(g) (I21).
+the domain, the closed form where one is known (I1, I2, I4, I5, I6, I7),
+and the reference route's direct integrand where it is not f*kernel(g)
+(I21).
 Adding an integral or a closed form means adding one record.  The catalog
 is what the CLI exposes through ``--paper-integral``.
 
@@ -33,13 +34,14 @@ integrals with phases +-m*x - kappa*sqrt(1-alpha*cos(x)), averaged; the
 
 from __future__ import annotations
 
+import cmath
 import math
 import sys
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import erf
+from scipy.special import erf, wofz
 
 from . import expr as exprmod
 from .adaptive import AdaptiveConfig, QuadResult, adaptive_integrate
@@ -74,9 +76,68 @@ class NamedIntegral:
     closed_form: Callable[[float], complex] | None = None
     product: Callable[[dict], Callable] | None = None
 
-    @property
-    def g_expr(self) -> str:
-        return self.phases[0]
+
+def _series(lam: float, moment: Callable[[int], float]) -> complex:
+    """Sum of (i*lam)^n/n! * moment(n) over n < 20: the expansion of
+    exp(i*lam*x^2) integrated term by term, within roundoff for lam < 1."""
+    total, term = 0j, 1 + 0j
+    for n in range(20):
+        total += term * moment(n)
+        term *= 1j * lam / (n + 1)
+    return total
+
+
+def _lower_gamma_1(s: int) -> float:
+    """gamma(s, 1) = e^-1 * sum over k of 1/(s (s+1) ... (s+k)), for s >= 2."""
+    total, term = 0.0, 1.0 / s
+    for k in range(1, 20):
+        total += term
+        term /= s + k
+    return total / math.e
+
+
+def _fresnel_scales(lam: float):
+    """(A, q) with A = sqrt(pi/lam) e^{i pi/4} / 2 and q = sqrt(lam) e^{i pi/4}.
+
+    int_u^v exp(i*lam*t^2) dt = A (erfc(-iqu) - erfc(-iqv)), and
+    erfc(-iqu) = e^{i lam u^2} w(qu) with the Faddeeva function w, which
+    stays accurate for large |qu|.  The forms below take each factor
+    e^{i lam u^2} from lam itself, not from a rounded u^2, whose phase
+    error would grow like lam * 1e-16.
+    """
+    rot = cmath.exp(0.25j * math.pi)
+    return 0.5 * math.sqrt(math.pi / lam) * rot, math.sqrt(lam) * rot
+
+
+def _i5(lam: float) -> complex:
+    """int_0^1 x e^{-x} exp(i*lam*x^2) dx.
+
+    Integrating by parts gives (e^{i lam - 1} - 1 + E) / (2i lam), where
+    completing the square, c = i/(2 lam), turns
+    E = int_0^1 exp(i*lam*x^2 - x) dx into A (w(qc) - e^{i lam - 1} w(q(1+c))).
+    The form cancels below lam = 1, so there the series is used.
+    """
+    if lam < 1.0:
+        return _series(lam, lambda n: _lower_gamma_1(2 * n + 2))
+    a, q = _fresnel_scales(lam)
+    c = 0.5j / lam
+    end = cmath.exp(1j * lam - 1)
+    e = a * (wofz(q * c) - end * wofz(q * (1 + c)))
+    return complex((end - 1 + e) / 2j / lam)
+
+
+def _i6(lam: float) -> complex:
+    """int_{-1}^{1} (1 + x^2) exp(i*lam*x^2) dx = F + (e^{i lam} - F/2)/(i lam).
+
+    F = int_{-1}^{1} exp(i*lam*x^2) dx = 2A (1 - e^{i lam} w(q)).  The form
+    cancels below lam = 1, so there the series is used.
+    """
+    if lam < 1.0:
+        return _series(lam, lambda n: 2 / (2 * n + 1) + 2 / (2 * n + 3))
+    a, q = _fresnel_scales(lam)
+    end = cmath.exp(1j * lam)
+    f = 2 * a * (1 - end * wofz(q))
+    return complex(f + (end - f / 2) / 1j / lam)
 
 
 def _helmholtz_mode(bound: dict):
@@ -116,10 +177,10 @@ CATALOG = {
                                               - np.exp(1j * (lam * np.exp(10.0))))),
     "I5": NamedIntegral(
         id="I5", f_expr="exp(-x)*x", kernel="exp", params=("lambda",),
-        phases=("lambda*x^2",), domain=(0.0, 1.0)),
+        phases=("lambda*x^2",), domain=(0.0, 1.0), closed_form=_i5),
     "I6": NamedIntegral(
         id="I6", f_expr="1+x^2", kernel="exp", params=("lambda",),
-        phases=("lambda*x^2",), domain=(-1.0, 1.0)),
+        phases=("lambda*x^2",), domain=(-1.0, 1.0), closed_form=_i6),
     # Fresnel integral: int_{-4}^{4} exp(i*lam*x^2) dx
     # = sqrt(pi/lam) * e^{i*pi/4} * erf(4*sqrt(lam) * e^{-i*pi/4}).
     "I7": NamedIntegral(
@@ -145,8 +206,6 @@ CATALOG = {
         id="I22", f_expr="1/(1+x^2)", kernel="exp", params=("lambda", "m"),
         phases=("lambda*cos(pi/2*m*x)^2",), domain=(-1.0, 1.0)),
 }
-
-_KERNELS = {"exp": lambda g: np.exp(1j * g), "cos": np.cos, "sin": np.sin}
 
 
 def _entry(id: str, params: dict) -> NamedIntegral:
@@ -190,6 +249,20 @@ def closed_form_value(id: str, params: dict) -> complex:
     return entry.closed_form(_lambda(entry, params))
 
 
+def _bind(id: str, params: dict, direct: bool = False):
+    """(entry, components, domain): one Integrand per phase, sharing one
+    compiled f; with ``direct``, an entry's ``product`` in their place."""
+    entry = _entry(id, params)
+    bound = {p: float(params[p]) for p in entry.params}
+    if direct and entry.product is not None:
+        components = [entry.product(bound)]
+    else:
+        f_fn = exprmod.compile_fn(entry.f_expr, bound)
+        components = [Integrand(f=f_fn, g=exprmod.compile_fn(g, bound), kernel=entry.kernel)
+                      for g in entry.phases]
+    return entry, components, _domain(entry, params)
+
+
 def integrand_for(id: str, params: dict):
     """Weighted exp/cos/sin-kernel components of a catalog integral.
 
@@ -197,15 +270,8 @@ def integrand_for(id: str, params: dict):
     ``(weight, Integrand)`` pairs whose weighted integrals sum to the
     catalog value: one per phase of the entry, each with its weight.
     """
-    entry = _entry(id, params)
-    bound = {p: float(params[p]) for p in entry.params}
-    f_fn = exprmod.compile_fn(entry.f_expr, bound)
-    components = [
-        (entry.weight, Integrand(f=f_fn, g=exprmod.compile_fn(g, bound),
-                                 kernel=entry.kernel))
-        for g in entry.phases
-    ]
-    return components, _domain(entry, params)
+    entry, components, domain = _bind(id, params)
+    return [(entry.weight, c) for c in components], domain
 
 
 def evaluate_levin(id: str, params: dict,
@@ -228,24 +294,14 @@ def evaluate_levin(id: str, params: dict,
 
 
 def oracle_integrand(id: str, params: dict):
-    """Direct (kernel applied) complex integrand for the reference integrator.
+    """Direct (kernel applied) integrand for the reference integrator.
 
-    Deliberately built from the *original* product form, not the phase
-    split, so the reference route shares as little as possible with the
-    collocation route.
+    The entry's one ``Integrand``, called as f * kernel(g); I21 keeps its
+    original product form, not the phase split, so that route shares as
+    little as possible with the collocation route.
     """
-    entry = _entry(id, params)
-    bound = {p: float(params[p]) for p in entry.params}
-    if entry.product is not None:
-        return entry.product(bound), _domain(entry, params)
-    f_fn = exprmod.compile_fn(entry.f_expr, bound)
-    g_fn = exprmod.compile_fn(entry.g_expr, bound)
-    kernel = _KERNELS[entry.kernel]
-
-    def fn(x):
-        return f_fn(x) * kernel(g_fn(x))
-
-    return fn, _domain(entry, params)
+    _, components, domain = _bind(id, params, direct=True)
+    return components[0], domain
 
 
 def evaluate_oracle(id: str, params: dict, tol: float = 1e-15) -> QuadResult:

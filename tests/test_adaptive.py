@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from oscquad import AdaptiveConfig, Integrand, adaptive, adaptive_integrate
+from oscquad import AdaptiveConfig, Integrand, adaptive, adaptive_gauss, adaptive_integrate
 from oscquad.adaptive import accepted_pair_update
 from oscquad.levin import panel_trio
 
@@ -20,6 +20,20 @@ def test_split_on_large_difference():
 def test_boundary_difference_splits():
     # strict inequality: a difference of exactly eps is not accepted
     assert not accepted_pair_update(1.0 + 0j, 0.5 + 0j, 0.5 - 1e-3 + 0j, 1e-3)
+
+
+@pytest.mark.parametrize("scale", [1e2, 1e4, 1e5, 1e6, 1e8])
+def test_large_integrand_converges_at_its_roundoff(scale):
+    # eps=1e-12 is below the rounding of values of size `scale`; the
+    # acceptance floor at 16 machine epsilons of the panel values lets both
+    # routes accept in one trio instead of splitting toward the budget
+    integrand = Integrand(f=lambda x: scale * np.exp(x), g=lambda x: 10.0 * x)
+    want = scale * (np.exp(1 + 10j) - 1) / (1 + 10j)
+    for res in (adaptive_integrate(integrand, 0.0, 1.0),
+                adaptive_gauss(integrand, 0.0, 1.0)):
+        assert res.status == "converged"
+        assert res.intervals_used <= 9
+        assert abs(res.value - want) <= 1e-14 * abs(want)
 
 
 def test_arctan_phase_unit_value():

@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oscquad import adaptive_gauss, gauss_rule, oracle
 from oscquad import AdaptiveConfig, Integrand, adaptive_integrate
@@ -86,11 +88,9 @@ def test_adaptive_exponential():
 
 def test_adaptive_agrees_with_collocation_route():
     lam = 100.0
-    res_gauss = adaptive_gauss(lambda x: (1 + x * x) * np.exp(1j * lam * x * x),
-                               -1.0, 1.0, tol=1e-15)
-    res_levin = adaptive_integrate(
-        Integrand(f=lambda x: 1.0 + x * x, g=lambda x: lam * x * x),
-        -1.0, 1.0, AdaptiveConfig())
+    integrand = Integrand(f=lambda x: 1.0 + x * x, g=lambda x: lam * x * x)
+    res_gauss = adaptive_gauss(integrand, -1.0, 1.0, tol=1e-15)
+    res_levin = adaptive_integrate(integrand, -1.0, 1.0, AdaptiveConfig())
     assert res_gauss.status == res_levin.status == "converged"
     assert abs(res_gauss.value - res_levin.value) <= 5e-11
 
@@ -209,3 +209,33 @@ def test_concurrent_runs_match_serial():
         parallel = list(pool.map(job, lams))
     serial = [job(lam) for lam in lams]
     assert parallel == serial
+
+
+@st.composite
+def _integrands(draw):
+    """A polynomial f of degree <= 4 (real or complex), a monotone or
+    stationary phase g of frequency lam <= 1e3, and a kernel."""
+    unit = st.floats(-1.0, 1.0)
+    coeffs = np.array(draw(st.lists(unit, min_size=1, max_size=5)))
+    if draw(st.booleans()):
+        coeffs = coeffs + 1j * np.array(draw(st.lists(unit, min_size=coeffs.size,
+                                                     max_size=coeffs.size)))
+    lam = 10.0 ** draw(st.floats(-3.0, 3.0))
+    if draw(st.booleans()):
+        beta = draw(st.floats(0.0, 1.0))
+        g = lambda x: lam * (x + beta * x ** 3)
+    else:
+        c = draw(st.floats(-0.9, 0.9))
+        g = lambda x: lam * (x - c) ** 2
+    kernel = draw(st.sampled_from(["exp", "cos", "sin"]))
+    return Integrand(f=lambda x: np.polynomial.polynomial.polyval(x, coeffs), g=g,
+                     kernel=kernel)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_integrands())
+def test_levin_and_gauss_agree_on_random_integrands(integrand):
+    res_levin = adaptive_integrate(integrand, -1.0, 1.0, AdaptiveConfig(eps=1e-12))
+    res_gauss = adaptive_gauss(integrand, -1.0, 1.0, tol=1e-15)
+    assert res_levin.status == res_gauss.status == "converged"
+    assert abs(res_levin.value - res_gauss.value) <= 1e-10

@@ -37,7 +37,7 @@ def test_closed_form_exponential_phase():
 
 def test_closed_form_unsupported():
     with pytest.raises(ValueError):
-        closed_form_value("I5", {"lambda": 1.0})
+        closed_form_value("I8", {"lambda": 1.0})
     with pytest.raises(KeyError):
         closed_form_value("I99", {"lambda": 1.0})
 
@@ -45,16 +45,16 @@ def test_closed_form_unsupported():
 def test_catalog_fields():
     entry = reference.CATALOG["I9"]
     assert entry.f_expr == "cos(x)/(1+x^2)"
-    assert entry.g_expr == "lambda*x^m"
+    assert entry.phases == ("lambda*x^m",)
     assert entry.domain == (-1.0, 1.0)
     assert entry.kernel == "exp"
     entry = reference.CATALOG["I22"]
     assert entry.f_expr == "1/(1+x^2)"
-    assert entry.g_expr == "lambda*cos(pi/2*m*x)^2"
+    assert entry.phases == ("lambda*cos(pi/2*m*x)^2",)
     assert entry.domain == (-1.0, 1.0)
     entry = reference.CATALOG["I5"]
     assert entry.f_expr == "exp(-x)*x"
-    assert entry.g_expr == "lambda*x^2"
+    assert entry.phases == ("lambda*x^2",)
     assert entry.domain == (0.0, 1.0)
 
 
@@ -94,7 +94,7 @@ def test_closed_forms_need_positive_lambda(id):
 def test_closed_forms_refuse_subnormal_lambda():
     # at a subnormal lambda I1's 2/lam overflows and I4 and I7 turn
     # invalid; from the smallest normal float on every form is right
-    for id in ("I1", "I2", "I4", "I7"):
+    for id in ("I1", "I2", "I4", "I5", "I6", "I7"):
         for lam in (1e-310, 5e-324):
             with pytest.raises(ValueError) as exc:
                 closed_form_value(id, {"lambda": lam})
@@ -104,6 +104,8 @@ def test_closed_forms_refuse_subnormal_lambda():
     assert closed_form_value("I1", tiny) == pytest.approx(math.pi / 2, rel=1e-15)
     assert closed_form_value("I4", tiny) == pytest.approx(math.exp(10) - 1, rel=1e-15)
     assert closed_form_value("I7", tiny) == pytest.approx(8.0, rel=1e-15)
+    assert closed_form_value("I5", tiny) == pytest.approx(1 - 2 / math.e, rel=1e-15)
+    assert closed_form_value("I6", tiny) == pytest.approx(8 / 3, rel=1e-15)
 
 
 def test_nonconverged_component_status_is_passed_on(monkeypatch):
@@ -140,6 +142,17 @@ def test_fresnel_closed_form_vs_gauss():
         assert abs(res.value - closed_form_value("I7", {"lambda": lam})) <= 1e-13, lam
 
 
+@pytest.mark.parametrize("id", ["I5", "I6"])
+def test_quadratic_phase_closed_forms_vs_gauss(id):
+    # both sides of lambda = 1, where the forms switch from the power
+    # series to the error-function form
+    for lam in (1e-8, 1e-4, 1e-2, 0.5, 1.0, 2.0, 1e2, 1e4):
+        params = {"lambda": lam}
+        res = evaluate_oracle(id, params, tol=1e-15)
+        assert res.status == "converged"
+        assert abs(res.value - closed_form_value(id, params)) <= 1e-13, (id, lam)
+
+
 def test_reciprocal_sqrt_phase_vs_oracle():
     # compare collocation and reference quadrature on a common truncation
     # of the transformed integral (the full truncation is far too long for
@@ -152,8 +165,7 @@ def test_reciprocal_sqrt_phase_vs_oracle():
         f = exprmod.compile_fn("2/x")
         integrand = Integrand(f=f, g=lambda x, lam=lam: lam * x)
         res = adaptive_integrate(integrand, 1.0, u_max)
-        ref = adaptive_gauss(lambda u: (2.0 / u) * np.exp(1j * lam * u), 1.0, u_max,
-                             tol=1e-15)
+        ref = adaptive_gauss(integrand, 1.0, u_max, tol=1e-15)
         assert res.status == ref.status == "converged"
         assert abs(res.value - ref.value) <= 1e-9, lam
 

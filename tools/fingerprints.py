@@ -96,6 +96,11 @@ CLI_RUNS = [
      "--no-timing"],
     ["sweep", "--paper-integral", "I1", "--count", "2", "--out",
      str(ROOT / "no-such-dir" / "x.csv"), "--no-timing"],
+    # An integrand of magnitude 1e6: accepted at the roundoff of its values.
+    ["integrate", "--f", "1e6*exp(x)", "--g", "10*x", "--a", "0", "--b", "1", "--no-timing"],
+    # The closed-form column of I5 and I6, across the series/erf switch at 1.
+    *(["sweep", "--paper-integral", id, "--decades=-8:4", "--count", "13", "--no-timing"]
+      for id in ("I5", "I6")),
     # Refused before any work.  A commit without the [1, 1000000] bound
     # asks for 8 GB of lambda values (sweep) or a million integrals per
     # range (compare); there the address-space cap refuses the first and
