@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import erf, wofz
+from scipy.special import wofz
 
 from . import expr as exprmod
 from .adaptive import AdaptiveConfig, QuadResult, adaptive_integrate
@@ -79,7 +79,8 @@ class NamedIntegral:
 
 def _series(lam: float, moment: Callable[[int], float]) -> complex:
     """Sum of (i*lam)^n/n! * moment(n) over n < 20: the expansion of
-    exp(i*lam*x^2) integrated term by term, within roundoff for lam < 1."""
+    exp(i*lam*x^2) integrated term by term, within roundoff for
+    lam * max(x^2) < 1 over the domain."""
     total, term = 0j, 1 + 0j
     for n in range(20):
         total += term * moment(n)
@@ -140,6 +141,20 @@ def _i6(lam: float) -> complex:
     return complex(f + (end - f / 2) / 1j / lam)
 
 
+def _i7(lam: float) -> complex:
+    """int_{-4}^{4} exp(i*lam*x^2) dx = 2A (1 - e^{16 i lam} w(4q)).
+
+    The form cancels below lam = 1/16, so there the series is used.  Where
+    16 lam overflows, |w(4q)| < 1e-150 and the value is 2A.
+    """
+    if lam < 0.0625:
+        return _series(lam, lambda n: 2 * 4 ** (2 * n + 1) / (2 * n + 1))
+    a, q = _fresnel_scales(lam)
+    if math.isinf(16 * lam):
+        return complex(2 * a)
+    return complex(2 * a * (1 - cmath.exp(16j * lam) * wofz(4 * q)))
+
+
 def _helmholtz_mode(bound: dict):
     """The modal Helmholtz component with cos(m*x) kept as a factor."""
     m = bound["m"]
@@ -182,12 +197,9 @@ CATALOG = {
         id="I6", f_expr="1+x^2", kernel="exp", params=("lambda",),
         phases=("lambda*x^2",), domain=(-1.0, 1.0), closed_form=_i6),
     # Fresnel integral: int_{-4}^{4} exp(i*lam*x^2) dx
-    # = sqrt(pi/lam) * e^{i*pi/4} * erf(4*sqrt(lam) * e^{-i*pi/4}).
     "I7": NamedIntegral(
         id="I7", f_expr="1", kernel="exp", params=("lambda",),
-        phases=("lambda*x^2",), domain=(-4.0, 4.0),
-        closed_form=lambda lam: (math.sqrt(math.pi / lam) * np.exp(1j * math.pi / 4.0)
-                                 * erf(4.0 * math.sqrt(lam) * np.exp(-1j * math.pi / 4.0)))),
+        phases=("lambda*x^2",), domain=(-4.0, 4.0), closed_form=_i7),
     "I8": NamedIntegral(
         id="I8", f_expr="1/(0.01+x^4)", kernel="exp", params=("lambda",),
         phases=("lambda*x^4",), domain=(-1.0, 1.0)),

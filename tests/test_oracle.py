@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oscquad import adaptive_gauss, gauss_rule, oracle
+from oscquad import adaptive, adaptive_gauss, gauss_rule, oracle
 from oscquad import AdaptiveConfig, Integrand, adaptive_integrate
+from oscquad.levin import PanelError
+from oscquad.reference import oracle_integrand
 
 
 def test_rule_n1():
@@ -139,12 +141,17 @@ def test_nan_region_is_panel_failure_with_the_partial_sum(monkeypatch):
     assert abs(res.value - 0.3) <= 1e-13
     # every processed interval counts, the failed ones too
     assert res.intervals_used == 3 * len(trios)
-    assert res.fevals == sum(sampled) == 90 * len(trios)
+    # every call samples a trio and its halves' trios; the finite halves of
+    # a split interval, a failed one included, are not sampled again
+    assert res.fevals == sum(sampled) == 270 * len(sampled)
+    assert len(sampled) < len(trios)
 
 
 def test_trio_samples_each_panel_as_mid_plus_half_times_nodes(monkeypatch):
-    # the three panels are sampled in one call, but every point keeps the
-    # bits of its own panel's mid + half * node
+    # a call samples nine panels, a trio and its halves' trios, but every
+    # point keeps the bits of its own panel's mid + half * node: each
+    # processed trio is rows 0-2 of its own call or rows 3-5 (left half)
+    # or 6-8 (right half) of its parent's
     sampled = []
     trios = record_trios(monkeypatch)
 
@@ -156,12 +163,117 @@ def test_trio_samples_each_panel_as_mid_plus_half_times_nodes(monkeypatch):
     assert res.status == "converged" and len(trios) > 1
     assert type(res.value) is complex
     nodes = gauss_rule(30).nodes
-    for (a0, c0, b0), xs in zip(trios, sampled, strict=True):
+    calls = iter(sampled)
+    ahead = {}  # (a0, b0) of a sampled half -> its 90 points
+    for a0, c0, b0 in trios:
         h0 = 0.5 * (b0 - a0)
         hh = 0.5 * h0
         want = np.concatenate(((a0 + h0) + h0 * nodes, (a0 + hh) + hh * nodes,
                                (c0 + hh) + hh * nodes))
-        assert xs.tobytes() == want.tobytes()
+        if (a0, b0) in ahead:
+            assert ahead.pop((a0, b0)).tobytes() == want.tobytes()
+        else:
+            xs = next(calls)
+            assert xs[:90].tobytes() == want.tobytes()
+            ahead[a0, c0], ahead[c0, b0] = xs[90:180], xs[180:]
+    assert next(calls, None) is None
+    assert len(sampled) < len(trios)
+
+
+def one_trio_per_call(fn, a, b, tol=1e-15):
+    """The evaluator without lookahead: each call of fn samples one trio."""
+    rule = gauss_rule(30)
+
+    def trio(a0, c0, b0):
+        h0 = 0.5 * (b0 - a0)
+        hh = 0.5 * h0
+        mids = np.array((a0 + h0, a0 + hh, c0 + hh))
+        halves = np.array((h0, hh, hh))
+        xs = mids[:, None] + halves[:, None] * rule.nodes
+        ys = np.asarray(fn(xs.ravel()), dtype=np.complex128)
+        values = halves * (ys.reshape(3, 30) @ rule.weights)
+        if not np.isfinite(values).all():
+            raise PanelError(f"non-finite sample or estimate in [{a0}, {b0}]", 90)
+        v0, vl, vr = values.tolist()
+        return v0, vl, vr, 90
+
+    with np.errstate(all="ignore"):
+        return oracle._run_worklist(trio, a, b, tol)
+
+
+def _nan_region(x):
+    out = np.ones_like(x)
+    out[(x > 0.3) & (x < 0.4)] = np.nan
+    return out
+
+
+_CATALOG_RUNS = [
+    *((id, {"lambda": lam}) for id in ("I5", "I6", "I7", "I8") for lam in (1.0, 1e2, 1e4)),
+    ("I21", {"kappa": 100.0, "m": 100.0, "alpha": 0.5}),
+    ("I22", {"lambda": 1e3, "m": 20.0}),
+]
+_DIRECT_RUNS = [
+    ("nan region", _nan_region, 0.0, 1.0, "panel_failure"),
+    ("sqrt", lambda x: np.sqrt(0.3 - x), 0.0, 1.0, "panel_failure"),
+    ("overflowing sum", lambda x: np.full(x.shape, 1e308), 0.0, 1.0, "panel_failure"),
+]
+
+
+def _same_run(monkeypatch, fn, a, b):
+    """Run both evaluators; every trio must return the same value bits, or
+    raise PanelError, in both, and so must the run."""
+    outcomes = []
+    run_worklist = oracle._run_worklist
+
+    def recording(trio, *rest):
+        seen = []
+        outcomes.append(seen)
+
+        def recorded(*args):
+            try:
+                out = trio(*args)
+            except PanelError:
+                seen.append((args, "PanelError"))
+                raise
+            seen.append((args, [(v.real.hex(), v.imag.hex()) for v in out[:3]]))
+            return out
+        return run_worklist(recorded, *rest)
+
+    monkeypatch.setattr(oracle, "_run_worklist", recording)
+    old, new = one_trio_per_call(fn, a, b), adaptive_gauss(fn, a, b)
+    assert outcomes[0] == outcomes[1]
+    for res in (old, new):
+        assert type(res.value) is complex
+    assert (old.value.real.hex(), old.value.imag.hex(), old.intervals_used, old.status) \
+        == (new.value.real.hex(), new.value.imag.hex(), new.intervals_used, new.status)
+    return new
+
+
+@pytest.mark.parametrize("id, params", _CATALOG_RUNS,
+                         ids=[f"{id}-{params}" for id, params in _CATALOG_RUNS])
+def test_lookahead_keeps_every_bit_of_a_catalog_run(monkeypatch, id, params):
+    fn, (a, b) = oracle_integrand(id, params)
+    assert _same_run(monkeypatch, fn, a, b).status == "converged"
+
+
+@pytest.mark.parametrize("name, fn, a, b, status", _DIRECT_RUNS,
+                         ids=[run[0] for run in _DIRECT_RUNS])
+def test_lookahead_keeps_every_bit_of_a_failed_run(monkeypatch, name, fn, a, b, status):
+    assert _same_run(monkeypatch, fn, a, b).status == status
+
+
+def test_lookahead_keeps_every_bit_at_the_width_floor(monkeypatch):
+    # a step never converges; the floor stops it after 14 levels of splits
+    monkeypatch.setattr(adaptive, "MIN_WIDTH_FACTOR", 1e-4)
+    res = _same_run(monkeypatch, lambda x: np.where(x < 1 / 3, 0.0, 1.0), 0.0, 1.0)
+    assert res.status == "width_floor"
+
+
+def test_lookahead_keeps_every_bit_within_a_budget(monkeypatch):
+    monkeypatch.setattr(adaptive, "MAX_INTERVALS", 7)
+    fn, (a, b) = oracle_integrand("I7", {"lambda": 1e2})
+    res = _same_run(monkeypatch, fn, a, b)
+    assert res.status == "budget_exhausted" and res.intervals_used == 21
 
 
 @pytest.mark.parametrize("value", [math.inf, -math.inf, complex(0.0, math.inf)])

@@ -142,6 +142,22 @@ def test_fresnel_closed_form_vs_gauss():
         assert abs(res.value - closed_form_value("I7", {"lambda": lam})) <= 1e-13, lam
 
 
+def test_fresnel_closed_form_vs_50_digit_erf_form():
+    # from the smallest normal float to the largest: across the switch
+    # from the series at 1/16 and across 16 * lambda overflowing
+    mpmath = pytest.importorskip("mpmath")
+    lams = [sys.float_info.min, 1e-300, 1e-200, 1e-100, 1e-30, 1e-16, 1e-8, 1e-4, 1e-2,
+            math.nextafter(0.0625, 0.0), 0.0625, 0.1, 0.5, 1.0, 3.0, 10.0, 1e2, 1e4, 1e6,
+            1e10, 1e15, 1e30, 1e100, 1e300, 1.1e307, 1.2e307, sys.float_info.max]
+    with mpmath.workdps(50):
+        for lam in lams:
+            s = mpmath.sqrt(mpmath.mpf(lam))
+            rot = mpmath.expjpi(mpmath.mpf(1) / 4)
+            want = complex(mpmath.sqrt(mpmath.pi) / s * rot * mpmath.erf(4 * s / rot))
+            got = closed_form_value("I7", {"lambda": lam})
+            assert abs(got - want) <= 1e-15 * abs(want), (lam, got, want)
+
+
 @pytest.mark.parametrize("id", ["I5", "I6"])
 def test_quadratic_phase_closed_forms_vs_gauss(id):
     # both sides of lambda = 1, where the forms switch from the power

@@ -19,13 +19,15 @@ of CLI_ADDRESS_SPACE bytes, and one still running CLI_TIMEOUT seconds
 after its output is first read is killed.  A side that times out or is
 refused memory (a MemoryError) counts as a difference.
 
-The tool prints the number of cases and commands compared, then two
-groups of differing cases: each case whose ``intervals_used``, ``fevals``
-or status differs, and, per workload and route, the cases that differ
-only in value bits (how many, their ids and the largest relative
-|change in value|).  Last it prints each command whose stdout or exit
-code differs, or that ran out of time or memory (with the last stderr
-line of each side).  It exits 1 if any case or command differs.
+The tool prints the number of cases and commands compared, then three
+groups of differing cases: each case whose ``intervals_used`` or status
+differs, or whose value bits and ``fevals`` both differ; per workload and
+route, the cases that differ only in ``fevals`` (how many, their ids and
+the ``fevals`` totals before and after); and per workload and route, the
+cases that differ only in value bits (how many, their ids and the largest
+relative |change in value|).  Last it prints each command whose stdout or
+exit code differs, or that ran out of time or memory (with the last
+stderr line of each side).  It exits 1 if any case or command differs.
 """
 
 import argparse
@@ -101,6 +103,11 @@ CLI_RUNS = [
     # The closed-form column of I5 and I6, across the series/erf switch at 1.
     *(["sweep", "--paper-integral", id, "--decades=-8:4", "--count", "13", "--no-timing"]
       for id in ("I5", "I6")),
+    # I7's closed-form column up to 1e15, and its Gauss values in the top
+    # criterion-2 range.
+    ["sweep", "--paper-integral", "I7", "--decades=-8:15", "--count", "24", "--no-timing"],
+    ["compare", "--paper-integral", "I7", "--ranges", "1e3:1e4", "--samples", "3",
+     "--oracle-tol", "1e-15", "--no-timing"],
     # Refused before any work.  A commit without the [1, 1000000] bound
     # asks for 8 GB of lambda values (sweep) or a million integrals per
     # range (compare); there the address-space cap refuses the first and
@@ -202,20 +209,30 @@ def main(argv=None):
         sys.exit("the two sides evaluated different cases")
     differ = [(old, new) for old, new in zip(rows["parent"], rows["change"])
               if old[6] != new[6]]
-    counted, value_only = [], {}  # value_only: keyed by (workload, route)
+    counted, fevals_only, value_only = [], {}, {}  # the dicts keyed by (workload, route)
     for old, new in differ:
-        if old[6][2:] != new[6][2:]:
+        (re0, im0, n0, fe0, st0), (re1, im1, n1, fe1, st1) = old[6], new[6]
+        same_value = (re0, im0) == (re1, im1)
+        if (n0, st0) != (n1, st1) or not (same_value or fe0 == fe1):
             counted.append((old, new))
         else:
-            value_only.setdefault((old[0], old[2]), []).append((old, new))
+            group = fevals_only if same_value else value_only
+            group.setdefault((old[0], old[2]), []).append((old, new))
     print(f"{len(rows['change'])} cases compared against {parent[:12]}, "
           f"{len(differ)} differ")
-    print(f"{len(counted)} differ in intervals_used, fevals or status")
+    print(f"{len(counted)} differ in intervals_used or status, or in value bits "
+          f"and fevals")
     for old, new in counted:
         name, seed, route, i, id_, params = old[:6]
         print(f"  {name} seed {seed} {route} #{i} {id_} {params}: "
               f"parent {old[6]} change {new[6]}")
-    print(f"{len(differ) - len(counted)} differ only in value bits")
+    print(f"{sum(map(len, fevals_only.values()))} differ only in fevals")
+    for (name, route), pairs in fevals_only.items():
+        ids = sorted({old[4] for old, _ in pairs})
+        before, after = (sum(pair[k][6][3] for pair in pairs) for k in (0, 1))
+        print(f"  {name} {route}: {len(pairs)} cases ({', '.join(ids)}), "
+              f"fevals {before} -> {after}")
+    print(f"{sum(map(len, value_only.values()))} differ only in value bits")
     for (name, route), pairs in value_only.items():
         ids = sorted({old[4] for old, _ in pairs})
         worst = max(relative_change(old[6], new[6]) for old, new in pairs)
