@@ -7,8 +7,17 @@ the half estimates to within the absolute tolerance (or, for values so
 large that the tolerance is below their rounding, to within 16 machine
 epsilons of their magnitude), the *unsplit* estimate is added to the
 running total, otherwise both halves go back on the worklist.  The
-worklist is a LIFO stack, so runs are deterministic and memory stays
-proportional to the subdivision depth.
+worklist is a LIFO stack, so runs are deterministic.
+
+Trios are solved ahead of the driver, in a run-local table: a popped
+interval whose trio is not solved yet is solved together with the
+leftmost intervals the driver is certain to pop next (the halves of
+rejected intervals), one panel_values pass per breadth round, and later
+pops take their trio from the table.  Each trio keeps the value bits of a
+pass of its own.  The table never holds more solved trios than the run
+has popped, so memory is bounded by the run's pops, no longer by the
+subdivision depth; the samples of a pass are counted in ``fevals`` when
+taken, so a run that stops counts those of trios solved but never popped.
 
 Safety rails absent from the basic scheme, both fixed and reported
 through ``QuadResult.status``: a budget of MAX_INTERVALS processed
@@ -26,11 +35,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import chebyshev, linalg
-from .levin import Integrand, PanelError, check_domain, panel_trio
+from .levin import Integrand, PanelError, check_domain, panel_trio, panel_values
 
 MAX_INTERVALS = 2 ** 20
 ROUNDOFF = 16.0 * linalg.EPS0  # unit of the width floor and the acceptance floor
 MIN_WIDTH_FACTOR = ROUNDOFF
+# Collocation-matrix entries per panel_values pass of the solve-ahead
+# table (at least one trio a pass): 2 MB of matrices, whatever k is.
+PASS_ENTRIES = 2 ** 17
 
 
 @dataclass(frozen=True)
@@ -138,6 +150,65 @@ def _run_worklist(trio, a: float, b: float, eps: float) -> QuadResult:
     return QuadResult(value=val, intervals_used=panels, fevals=fevals, status=status)
 
 
+class _SolveAhead:
+    """A run's trios solved before the driver pops them.
+
+    ``pending`` holds, leftmost last, the unsolved intervals the LIFO
+    driver is certain to pop unless the run stops: the halves of a
+    rejected interval (never a failed one) when both pass the width floor.
+    ``solved`` maps an interval to its trio's values or PanelError.
+    """
+
+    def __init__(self, eps: float, floor: float, k: int):
+        self.eps = eps
+        self.floor = floor
+        self.per_pass = max(1, PASS_ENTRIES // (3 * k * k))
+        self.pending: list[tuple[float, float]] = []
+        self.solved: dict = {}
+        self.popped = 0
+
+    def trio(self, integrand, a0, b0, grid, solver):
+        """The trio of [a0, b0], which the driver pops now, and the samples
+        this call took.
+
+        An unsolved [a0, b0] is the leftmost interval the driver holds, so
+        it is ``pending[-1]`` if pending at all.  It is solved with the leftmost
+        pending intervals, one panel_values pass per breadth round, until
+        the table holds as many trios as the run has popped.
+        """
+        self.popped += 1
+        pending, solved = self.pending, self.solved
+        nevals = 0
+        if (a0, b0) not in solved:
+            if not (pending and pending[-1] == (a0, b0)):
+                pending.append((a0, b0))
+            room = self.popped - len(solved)
+            while room and pending:
+                n = min(room, len(pending), self.per_pass)
+                batch = pending[-n:]
+                del pending[-n:]
+                room -= n
+                spans = []
+                for lo, hi in batch:
+                    mid = 0.5 * (lo + hi)
+                    spans += ((lo, hi), (lo, mid), (mid, hi))
+                values, _, ne = panel_values(integrand, spans, grid, solver, 3)
+                nevals += ne
+                # right to left, so the halves keep pending leftmost last
+                for j, (lo, hi) in enumerate(batch):
+                    trio = values[3 * j: 3 * j + 3]
+                    failed = isinstance(trio[0], PanelError)
+                    solved[lo, hi] = trio[0] if failed else trio
+                    mid = 0.5 * (lo + hi)
+                    if (not failed and not accepted_pair_update(*trio, self.eps)
+                            and mid - lo >= self.floor and hi - mid >= self.floor):
+                        pending += ((mid, hi), (lo, mid))
+        out = solved.pop((a0, b0))
+        if isinstance(out, PanelError):
+            raise PanelError(str(out), nevals)
+        return (*out, nevals)
+
+
 def adaptive_integrate(integrand: Integrand, a: float, b: float,
                        config: AdaptiveConfig | None = None) -> QuadResult:
     """Adaptively evaluate the integral of f * kernel(g) over [a, b]."""
@@ -145,8 +216,9 @@ def adaptive_integrate(integrand: Integrand, a: float, b: float,
     if config is None:
         config = AdaptiveConfig()
     grid = chebyshev.grid(config.k)
+    ahead = _SolveAhead(config.eps, MIN_WIDTH_FACTOR * max(abs(a), abs(b), 1.0), config.k)
 
     def trio(a0, c0, b0):
-        return panel_trio(integrand, a0, c0, b0, grid, config.solver)
+        return panel_trio(integrand, a0, c0, b0, grid, config.solver, ahead)
 
     return _run_worklist(trio, a, b, config.eps)

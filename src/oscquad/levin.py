@@ -26,7 +26,8 @@ for complex f a second apply against conj(f) gives E(-g) = conj(E_conj(g)),
 so cos -> (E(g) + E(-g))/2 and sin -> (E(g) - E(-g))/(2i).
 
 ``panel_values`` evaluates many panels (spans) as one stacked operation;
-only the truncated solve and the endpoint product run span by span.  The
+only the truncated solve and the endpoint product run span by span, and a
+span that fails fails only its own group of spans (its trio).  The
 product stays per span, in Python ``complex``: numpy's array complex
 multiply rounds differently from its scalar multiply, while Python's
 complex multiply rounds like the scalar one, so each value keeps the bits
@@ -96,20 +97,29 @@ def check_domain(a: float, b: float) -> None:
         raise ValueError(f"need finite a < b with a finite width b - a, got [{a}, {b}]")
 
 
-def panel_values(integrand: Integrand, spans, grid: chebyshev.ChebGrid, solver: str):
+def panel_values(integrand: Integrand, spans, grid: chebyshev.ChebGrid, solver: str,
+                 group: int = 1):
     """Panel estimates over each (a, b) in ``spans`` from one sampling pass.
 
     The grid is mapped onto every span at once, with each span's first and
     last nodes set to exactly a and b, and f and g are each evaluated in a
     single vectorized call over all of them.  A node where f or g is
     non-finite is re-evaluated once, shifted toward the interior of its own
-    span by NUDGE_FACTOR times that span's width; a sample still non-finite
-    raises PanelError, as do a collocation matrix that overflows (in g' or
-    D/h, before any span is factored, whatever the solver) and a non-finite
-    estimate (as soon as its span is solved).  g', the matrices
+    span by NUDGE_FACTOR times that span's width.  g', the matrices
     D/h + i diag(g') and the endpoint phases are each computed once over
     all spans; each span's truncated solve uses the default threshold of
-    ``linalg``.  Returns (values, ranks, nevals).
+    ``linalg``.
+
+    A sample still non-finite after the nudge, a collocation matrix that
+    overflows (in g' or D/h, before any span is factored, whatever the
+    solver), a LinalgError or a non-finite estimate fails the span's
+    ``group`` of consecutive spans (a trio, for the adaptive driver): each
+    of its spans gets that PanelError as its value, the later ones
+    unsolved, and other groups keep theirs.  The second apply against
+    conj(f) of a cos or sin kernel is decided per span too, so no value
+    bit depends on which spans share the pass.  Returns (values, ranks,
+    nevals); a failed span's rank is None, and nevals, the ``nevals`` of
+    each PanelError too, counts every point the pass sampled.
     """
     if solver not in linalg.SOLVERS:
         raise ValueError(f"solver must be one of {linalg.SOLVERS}, got {solver!r}")
@@ -123,6 +133,7 @@ def panel_values(integrand: Integrand, spans, grid: chebyshev.ChebGrid, solver: 
     xs += (lo + half)[:, None]
     xs[:, :: k - 1] = spans
     xs = xs.ravel()
+    failed = {}  # group -> why its spans have no estimate
     # f, g, g' and D/h may overflow or be undefined; every non-finite result
     # is caught below, so numpy's warnings are silenced once for all.
     with np.errstate(all="ignore"):
@@ -137,8 +148,9 @@ def panel_values(integrand: Integrand, spans, grid: chebyshev.ChebGrid, solver: 
             fs[idx] = np.asarray(integrand.f(moved), dtype=np.complex128)
             gs[idx] = np.asarray(integrand.g(moved), dtype=np.float64)
             nevals += idx.shape[0]
-            if not (np.all(np.isfinite(fs[idx])) and np.all(np.isfinite(gs[idx]))):
-                raise PanelError(f"non-finite sample in {spans.tolist()} after nudge", nevals)
+            for i in np.unique(span[~(np.isfinite(fs[idx]) & np.isfinite(gs[idx]))]).tolist():
+                failed.setdefault(i // group, f"non-finite sample in {spans[i:i + 1].tolist()}"
+                                              " after nudge")
         gs = gs.reshape(n, k, 1)
         # rounds like grid.diff @ gs[i]; gs @ grid.diff.T and einsum do not
         gprime = np.matmul(grid.diff, gs)[:, :, 0] / half[:, None]
@@ -147,33 +159,40 @@ def panel_values(integrand: Integrand, spans, grid: chebyshev.ChebGrid, solver: 
     # a is C-contiguous, so reshape gives a view of every diagonal
     a.reshape(n, -1).imag[:, :: k + 1] = gprime
     if not np.isfinite(a).all():
-        part = "g'" if not np.isfinite(gprime).all() else "D/h"
-        raise PanelError(f"non-finite {part} in {spans.tolist()}: "
-                         "the collocation matrix overflows", nevals)
+        for i in np.nonzero(~np.isfinite(a).all(axis=(1, 2)))[0].tolist():
+            part = "g'" if not np.isfinite(gprime[i]).all() else "D/h"
+            failed.setdefault(i // group, f"non-finite {part} in {spans[i:i + 1].tolist()}"
+                                          ": the collocation matrix overflows")
     fs = fs.reshape(n, k)
     phases = np.exp(1j * gs[:, :: k - 1, 0]).tolist()
     kernel = integrand.kernel
-    want_conj = kernel != "exp" and bool(fs.imag.any())
+    conj = (fs.imag.any(axis=1) & (kernel != "exp")).tolist()
     values, ranks = [], []
-    try:
-        for i, (ai, fi, (ea, eb)) in enumerate(zip(a, fs, phases)):
-            factors = factor(ai)
-            p, rank = apply(factors, fi)
-            # Python complex products round like numpy's scalar ones (module doc)
-            p0, p1 = p[:: k - 1].tolist()
-            value = p1 * eb - p0 * ea
-            if want_conj:
-                pc0, pc1 = apply(factors, fi.conj())[0][:: k - 1].tolist()
-                value_neg = (pc1 * eb - pc0 * ea).conjugate()
-                value = 0.5 * (value + value_neg) if kernel == "cos" else (value - value_neg) / 2j
-            elif kernel != "exp":
-                value = complex(value.real if kernel == "cos" else value.imag)
-            if not cmath.isfinite(value):
-                raise PanelError(f"non-finite panel estimate on {spans[i].tolist()}", nevals)
-            values.append(value)
-            ranks.append(rank)
-    except linalg.LinalgError as exc:
-        raise PanelError(str(exc), nevals) from exc
+    for i, (ai, fi, (ea, eb), want_conj) in enumerate(zip(a, fs, phases, conj)):
+        value = rank = None
+        if i // group not in failed:
+            try:
+                factors = factor(ai)
+                p, rank = apply(factors, fi)
+                # Python complex products round like numpy's scalar ones (module doc)
+                p0, p1 = p[:: k - 1].tolist()
+                value = p1 * eb - p0 * ea
+                if want_conj:
+                    pc0, pc1 = apply(factors, fi.conj())[0][:: k - 1].tolist()
+                    value_neg = (pc1 * eb - pc0 * ea).conjugate()
+                    value = (0.5 * (value + value_neg) if kernel == "cos"
+                             else (value - value_neg) / 2j)
+                elif kernel != "exp":
+                    value = complex(value.real if kernel == "cos" else value.imag)
+                if not cmath.isfinite(value):
+                    failed[i // group] = f"non-finite panel estimate on {spans[i].tolist()}"
+            except linalg.LinalgError as exc:
+                failed[i // group] = str(exc)
+        values.append(value)
+        ranks.append(rank)
+    for j, why in failed.items():
+        values[j * group: (j + 1) * group] = [PanelError(why, nevals)] * group
+        ranks[j * group: (j + 1) * group] = [None] * group
     return values, ranks, nevals
 
 
@@ -185,15 +204,24 @@ def levin_panel(integrand: Integrand, a0: float, b0: float,
     if grid is None:
         grid = chebyshev.grid()
     values, ranks, _ = panel_values(integrand, ((a0, b0),), grid, solver)
+    if isinstance(values[0], PanelError):
+        raise values[0]
     return LevinLocalResult(value=values[0], rank_used=ranks[0])
 
 
 def panel_trio(integrand: Integrand, a0: float, c0: float, b0: float,
-               grid: chebyshev.ChebGrid, solver: str):
+               grid: chebyshev.ChebGrid, solver: str, ahead=None):
     """Estimates for [a0,b0], [a0,c0] and [c0,b0]: the adaptive driver's inner loop.
 
-    Returns (val0, val_left, val_right, nevals).
+    Returns (val0, val_left, val_right, nevals), or raises the PanelError
+    of the trio's first failed span.  ``ahead`` is the adaptive driver's
+    run-local table: the trio is taken from it, and the table solves it,
+    together with the trios the driver pops after it, if it has not yet.
     """
+    if ahead is not None:
+        return ahead.trio(integrand, a0, b0, grid, solver)
     values, _, nevals = panel_values(integrand, ((a0, b0), (a0, c0), (c0, b0)),
-                                     grid, solver)
+                                     grid, solver, 3)
+    if isinstance(values[0], PanelError):
+        raise values[0]
     return values[0], values[1], values[2], nevals

@@ -4,9 +4,11 @@ import warnings
 import numpy as np
 import pytest
 
-from oscquad import AdaptiveConfig, Integrand, adaptive, adaptive_gauss, adaptive_integrate
+from oscquad import (AdaptiveConfig, Integrand, PanelError, adaptive, adaptive_gauss,
+                     adaptive_integrate, chebyshev, linalg)
 from oscquad.adaptive import accepted_pair_update
 from oscquad.levin import panel_trio
+from oscquad.reference import integrand_for
 
 
 def test_accept_exact_split():
@@ -183,3 +185,129 @@ def test_concurrent_integrals_match_serial():
         parallel = list(pool.map(job, lams))
     serial = [job(lam) for lam in lams]
     assert parallel == serial
+
+
+def one_trio_per_call(integrand, a, b):
+    """The driver without solve-ahead: each trio is a panel_values pass of its own."""
+    grid = chebyshev.grid(12)
+
+    def trio(a0, c0, b0):
+        return panel_trio(integrand, a0, c0, b0, grid, "qr")
+
+    return adaptive._run_worklist(trio, a, b, AdaptiveConfig().eps)
+
+
+def _nan_region(x):
+    out = np.ones_like(x)
+    out[(x > 0.3) & (x < 0.4)] = np.nan
+    return out
+
+
+def _inv_sqrt(x):
+    with np.errstate(all="ignore"):
+        return 1.0 / np.sqrt(x)
+
+
+def _catalog(id, params):
+    components, (a, b) = integrand_for(id, params)
+    return [(f"{id}-{params}-{n}", integrand, a, b)
+            for n, (_, integrand) in enumerate(components)]
+
+
+_CONVERGED_RUNS = [
+    *_catalog("I22", {"lambda": 1e5, "m": 20.0}),
+    *_catalog("I3", {"lambda": 1e3}),
+    *_catalog("I21", {"kappa": 100.0, "m": 100.0, "alpha": 0.5}),
+    *((f"complex-f-{kernel}", Integrand(f=lambda x: np.exp(-x) + 1j * x,
+                                        g=lambda x: 40.0 * x + 3.0 * x ** 2,
+                                        kernel=kernel), -1.0, 1.0)
+      for kernel in ("cos", "sin")),
+]
+# every interval of the first two runs is accepted or fails, and the
+# halves of a failed one are not solved ahead: they cost what they did
+_STOPPED_RUNS = [
+    ("nan-region", Integrand(f=_nan_region, g=lambda x: 0.0 * x), "panel_failure", True),
+    ("f-1e308", Integrand(f=lambda x: np.full_like(x, 1e308), g=lambda x: x),
+     "panel_failure", True),
+    ("inv-sqrt", Integrand(f=_inv_sqrt, g=lambda x: 100.0 * x), "width_floor", False),
+]
+
+
+def _same_run(monkeypatch, integrand, a, b):
+    """Run both drivers; every trio must return the same value bits, or
+    raise PanelError, in both, and so must the run.  Returns both results
+    and both runs' qr_factor calls."""
+    outcomes, factored = [], []
+    run_worklist, qr_factor = adaptive._run_worklist, linalg.qr_factor
+
+    def counted(*args):
+        factored[-1] += 1
+        return qr_factor(*args)
+
+    def recording(trio, *rest):
+        seen = []
+        outcomes.append(seen)
+        factored.append(0)
+
+        def recorded(*args):
+            try:
+                out = trio(*args)
+            except PanelError:
+                seen.append((args, "PanelError"))
+                raise
+            seen.append((args, [(v.real.hex(), v.imag.hex()) for v in out[:3]]))
+            return out
+        return run_worklist(recorded, *rest)
+
+    monkeypatch.setattr(adaptive, "_run_worklist", recording)
+    monkeypatch.setattr(linalg, "qr_factor", counted)
+    old, new = one_trio_per_call(integrand, a, b), adaptive_integrate(integrand, a, b)
+    assert outcomes[0] == outcomes[1]
+    assert (old.value.real.hex(), old.value.imag.hex(), old.intervals_used, old.status) \
+        == (new.value.real.hex(), new.value.imag.hex(), new.intervals_used, new.status)
+    return old, new, factored
+
+
+def _largest_pass(monkeypatch):
+    """Record the spans of each panel_values pass of the solve-ahead table;
+    the returned list's max is the largest pass (in qr_factor calls)."""
+    spans = []
+    panel_values = adaptive.panel_values
+
+    def recorded(integrand, batch, *rest):
+        spans.append(len(batch))
+        return panel_values(integrand, batch, *rest)
+
+    monkeypatch.setattr(adaptive, "panel_values", recorded)
+    return spans
+
+
+@pytest.mark.parametrize("name, integrand, a, b", _CONVERGED_RUNS,
+                         ids=[run[0] for run in _CONVERGED_RUNS])
+def test_solve_ahead_keeps_every_bit_of_a_converged_run(monkeypatch, name, integrand, a, b):
+    old, new, (factored_old, factored_new) = _same_run(monkeypatch, integrand, a, b)
+    assert new.status == "converged" and new.fevals == old.fevals
+    # every trio solved ahead is popped: three factorizations per interval
+    assert factored_new == factored_old == new.intervals_used
+
+
+@pytest.mark.parametrize("name, integrand, status, same_cost", _STOPPED_RUNS,
+                         ids=[run[0] for run in _STOPPED_RUNS])
+def test_solve_ahead_keeps_every_bit_of_a_stopped_run(monkeypatch, name, integrand, status,
+                                                      same_cost):
+    passes = _largest_pass(monkeypatch)
+    old, new, (factored_old, factored_new) = _same_run(monkeypatch, integrand, 0.0, 1.0)
+    assert new.status == status
+    # the table never holds more trios than the run has popped
+    assert factored_new <= 2 * factored_old + max(passes)
+    if same_cost:
+        assert (factored_new, new.fevals) == (factored_old, old.fevals)
+
+
+def test_solve_ahead_keeps_every_bit_within_a_budget(monkeypatch):
+    monkeypatch.setattr(adaptive, "MAX_INTERVALS", 500)
+    passes = _largest_pass(monkeypatch)
+    (_, integrand, a, b), = _catalog("I22", {"lambda": 1e5, "m": 20.0})
+    old, new, (factored_old, factored_new) = _same_run(monkeypatch, integrand, a, b)
+    assert new.status == "budget_exhausted" and new.intervals_used == 1500
+    assert factored_new <= 2 * factored_old + max(passes)

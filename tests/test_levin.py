@@ -281,6 +281,10 @@ def inv_sqrt(x):
         return 1.0 / np.sqrt(x) + 0.25j * x
 
 
+def mixed_f(x):
+    return np.exp(-x) + 1j * np.maximum(x, 0.0)
+
+
 @pytest.mark.parametrize("solver", ("qr", "svd"))
 @pytest.mark.parametrize("f, g, kernel, spans", [
     (lambda x: np.exp(-x) + 1j * x, lambda x: 40.0 * x + 3.0 * x ** 2, "exp",
@@ -298,8 +302,13 @@ def inv_sqrt(x):
     # a nudged endpoint sample (f(0) = inf) and, with a flat phase, rank < k
     (inv_sqrt, lambda x: 0.0 * x, "exp", ((0.0, 1e-3), (0.0, 5e-4), (5e-4, 1e-3))),
     (inv_sqrt, lambda x: 0.0 * x, "cos", ((0.0, 1.0),)),
+    # f is real left of 0 and complex right of it: only the complex-f spans
+    # take the second apply against conj(f), whichever spans share the pass
+    *((mixed_f, lambda x: 40.0 * x + 3.0 * x ** 2, kernel,
+       ((-1.0, -0.25), (0.25, 1.0), (-0.6, -0.1), (-0.25, 0.5), (-1.0, -0.6)))
+      for kernel in ("cos", "sin")),
 ], ids=("exp", "real-f-cos", "real-f-sin", "complex-f-cos", "complex-f-sin",
-        "exp-24-spans", "nudged-flat", "nudged-flat-cos"))
+        "exp-24-spans", "nudged-flat", "nudged-flat-cos", "mixed-f-cos", "mixed-f-sin"))
 def test_panel_values_match_per_span_reference(f, g, kernel, spans, solver):
     # bit for bit: the stacked evaluation may not change a single value bit;
     # an odd k puts a zero on the diagonal of D (the middle node)

@@ -243,8 +243,9 @@ def test_overflowing_truncated_panel_is_panel_failure():
     assert linalg.qr_apply(linalg.qr_factor(a + 0j), np.ones(grid.k))[1] < grid.k
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(PanelError, match="non-finite panel estimate"):
-            panel_values(integrand, [(0.0, 1.0)], grid, "qr")
+        values, ranks, _ = panel_values(integrand, [(0.0, 1.0)], grid, "qr")
+    assert isinstance(values[0], PanelError) and ranks == [None]
+    assert str(values[0]).startswith("non-finite panel estimate")
 
 
 @pytest.mark.parametrize("routine", ["_tzrzf", "_trtrs", "_unmrz"])

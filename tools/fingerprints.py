@@ -108,6 +108,10 @@ CLI_RUNS = [
     ["sweep", "--paper-integral", "I7", "--decades=-8:15", "--count", "24", "--no-timing"],
     ["compare", "--paper-integral", "I7", "--ranges", "1e3:1e4", "--samples", "3",
      "--oracle-tol", "1e-15", "--no-timing"],
+    # Runs that stop: at the width floor (an endpoint singularity under a
+    # phase that oscillates) and at a panel failure (invalid right of 0.3).
+    ["integrate", "--f", "1/sqrt(x)", "--g", "100*x", "--a", "0", "--b", "1", "--no-timing"],
+    ["integrate", "--f", "sqrt(0.3-x)", "--g", "x", "--a", "0", "--b", "1", "--no-timing"],
     # Refused before any work.  A commit without the [1, 1000000] bound
     # asks for 8 GB of lambda values (sweep) or a million integrals per
     # range (compare); there the address-space cap refuses the first and
