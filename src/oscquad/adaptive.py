@@ -192,7 +192,7 @@ class _SolveAhead:
                 for lo, hi in batch:
                     mid = 0.5 * (lo + hi)
                     spans += ((lo, hi), (lo, mid), (mid, hi))
-                values, _, ne = panel_values(integrand, spans, grid, solver, 3)
+                values, _, ne = panel_values(integrand, spans, grid, solver)
                 nevals += ne
                 # right to left, so the halves keep pending leftmost last
                 for j, (lo, hi) in enumerate(batch):

@@ -27,7 +27,7 @@ so cos -> (E(g) + E(-g))/2 and sin -> (E(g) - E(-g))/(2i).
 
 ``panel_values`` evaluates many panels (spans) as one stacked operation;
 only the truncated solve and the endpoint product run span by span, and a
-span that fails fails only its own group of spans (its trio).  The
+span that fails fails only its own trio of spans.  The
 product stays per span, in Python ``complex``: numpy's array complex
 multiply rounds differently from its scalar multiply, while Python's
 complex multiply rounds like the scalar one, so each value keeps the bits
@@ -97,8 +97,7 @@ def check_domain(a: float, b: float) -> None:
         raise ValueError(f"need finite a < b with a finite width b - a, got [{a}, {b}]")
 
 
-def panel_values(integrand: Integrand, spans, grid: chebyshev.ChebGrid, solver: str,
-                 group: int = 1):
+def panel_values(integrand: Integrand, spans, grid: chebyshev.ChebGrid, solver: str):
     """Panel estimates over each (a, b) in ``spans`` from one sampling pass.
 
     The grid is mapped onto every span at once, with each span's first and
@@ -110,12 +109,13 @@ def panel_values(integrand: Integrand, spans, grid: chebyshev.ChebGrid, solver: 
     all spans; each span's truncated solve uses the default threshold of
     ``linalg``.
 
-    A sample still non-finite after the nudge, a collocation matrix that
+    Spans come in trios, as the adaptive driver solves them: spans 3j,
+    3j + 1 and 3j + 2 are trio j (a lone span is a trio of its own).  A
+    sample still non-finite after the nudge, a collocation matrix that
     overflows (in g' or D/h, before any span is factored, whatever the
-    solver), a LinalgError or a non-finite estimate fails the span's
-    ``group`` of consecutive spans (a trio, for the adaptive driver): each
-    of its spans gets that PanelError as its value, the later ones
-    unsolved, and other groups keep theirs.  The second apply against
+    solver), a LinalgError or a non-finite estimate fails the span's trio:
+    each of its spans gets that PanelError as its value, its later spans
+    are not solved, and other trios keep theirs.  The second apply against
     conj(f) of a cos or sin kernel is decided per span too, so no value
     bit depends on which spans share the pass.  Returns (values, ranks,
     nevals); a failed span's rank is None, and nevals, the ``nevals`` of
@@ -133,9 +133,9 @@ def panel_values(integrand: Integrand, spans, grid: chebyshev.ChebGrid, solver: 
     xs += (lo + half)[:, None]
     xs[:, :: k - 1] = spans
     xs = xs.ravel()
-    failed = {}  # group -> why its spans have no estimate
-    # f, g, g' and D/h may overflow or be undefined; every non-finite result
-    # is caught below, so numpy's warnings are silenced once for all.
+    failed = {}  # trio -> why its spans have no estimate
+    # f, g, g', D/h and the phases may overflow or be undefined; every
+    # non-finite result is caught, so numpy's warnings are silenced once.
     with np.errstate(all="ignore"):
         fs = np.asarray(integrand.f(xs), dtype=np.complex128)
         gs = np.asarray(integrand.g(xs), dtype=np.float64)
@@ -148,29 +148,31 @@ def panel_values(integrand: Integrand, spans, grid: chebyshev.ChebGrid, solver: 
             fs[idx] = np.asarray(integrand.f(moved), dtype=np.complex128)
             gs[idx] = np.asarray(integrand.g(moved), dtype=np.float64)
             nevals += idx.shape[0]
-            for i in np.unique(span[~(np.isfinite(fs[idx]) & np.isfinite(gs[idx]))]).tolist():
-                failed.setdefault(i // group, f"non-finite sample in {spans[i:i + 1].tolist()}"
-                                              " after nudge")
+            for i in span[~(np.isfinite(fs[idx]) & np.isfinite(gs[idx]))].tolist():
+                if i // 3 not in failed:
+                    failed[i // 3] = f"non-finite sample in {spans[i:i + 1].tolist()} after nudge"
+            if len(failed) == -(-n // 3):  # every trio failed: nothing to solve
+                return [PanelError(failed[i // 3], nevals) for i in range(n)], [None] * n, nevals
         gs = gs.reshape(n, k, 1)
         # rounds like grid.diff @ gs[i]; gs @ grid.diff.T and einsum do not
         gprime = np.matmul(grid.diff, gs)[:, :, 0] / half[:, None]
         a = np.zeros((n, k, k), dtype=np.complex128)
         np.divide(grid.diff, half[:, None, None], out=a.real)
+        phases = np.exp(1j * gs[:, :: k - 1, 0]).tolist()
     # a is C-contiguous, so reshape gives a view of every diagonal
     a.reshape(n, -1).imag[:, :: k + 1] = gprime
     if not np.isfinite(a).all():
         for i in np.nonzero(~np.isfinite(a).all(axis=(1, 2)))[0].tolist():
             part = "g'" if not np.isfinite(gprime[i]).all() else "D/h"
-            failed.setdefault(i // group, f"non-finite {part} in {spans[i:i + 1].tolist()}"
-                                          ": the collocation matrix overflows")
+            failed.setdefault(i // 3, f"non-finite {part} in {spans[i:i + 1].tolist()}"
+                                      ": the collocation matrix overflows")
     fs = fs.reshape(n, k)
-    phases = np.exp(1j * gs[:, :: k - 1, 0]).tolist()
     kernel = integrand.kernel
-    conj = (fs.imag.any(axis=1) & (kernel != "exp")).tolist()
+    conj = fs.imag.any(axis=1).tolist() if kernel != "exp" else [False] * n
     values, ranks = [], []
     for i, (ai, fi, (ea, eb), want_conj) in enumerate(zip(a, fs, phases, conj)):
         value = rank = None
-        if i // group not in failed:
+        if i // 3 not in failed:
             try:
                 factors = factor(ai)
                 p, rank = apply(factors, fi)
@@ -185,14 +187,14 @@ def panel_values(integrand: Integrand, spans, grid: chebyshev.ChebGrid, solver: 
                 elif kernel != "exp":
                     value = complex(value.real if kernel == "cos" else value.imag)
                 if not cmath.isfinite(value):
-                    failed[i // group] = f"non-finite panel estimate on {spans[i].tolist()}"
+                    failed[i // 3] = f"non-finite panel estimate on {spans[i].tolist()}"
             except linalg.LinalgError as exc:
-                failed[i // group] = str(exc)
+                failed[i // 3] = str(exc)
         values.append(value)
         ranks.append(rank)
-    for j, why in failed.items():
-        values[j * group: (j + 1) * group] = [PanelError(why, nevals)] * group
-        ranks[j * group: (j + 1) * group] = [None] * group
+    for i in range(n):
+        if i // 3 in failed:
+            values[i], ranks[i] = PanelError(failed[i // 3], nevals), None
     return values, ranks, nevals
 
 
@@ -221,7 +223,7 @@ def panel_trio(integrand: Integrand, a0: float, c0: float, b0: float,
     if ahead is not None:
         return ahead.trio(integrand, a0, b0, grid, solver)
     values, _, nevals = panel_values(integrand, ((a0, b0), (a0, c0), (c0, b0)),
-                                     grid, solver, 3)
+                                     grid, solver)
     if isinstance(values[0], PanelError):
         raise values[0]
     return values[0], values[1], values[2], nevals

@@ -137,6 +137,18 @@ def test_overflow_in_the_solve_is_panel_failure():
         assert res.status == "panel_failure", solver
 
 
+def test_phase_overflowing_to_inf_is_panel_failure():
+    # g overflows to inf right of 0.3: the panels there fail without a
+    # warning, their endpoint phases exp(i g) included
+    integrand = Integrand(f=lambda x: np.ones_like(x),
+                          g=lambda x: x + np.exp(np.where(x > 0.3, 1000.0, 0.0)))
+    for solver in ("qr", "svd"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = adaptive_integrate(integrand, 0.0, 1.0, AdaptiveConfig(solver=solver))
+        assert res.status == "panel_failure", solver
+
+
 def test_counts():
     integrand = Integrand(f=lambda x: 1.0 + x * x, g=lambda x: 50.0 * x * x)
     res = adaptive_integrate(integrand, -1.0, 1.0)
@@ -223,12 +235,23 @@ _CONVERGED_RUNS = [
                                         kernel=kernel), -1.0, 1.0)
       for kernel in ("cos", "sin")),
 ]
-# every interval of the first two runs is accepted or fails, and the
-# halves of a failed one are not solved ahead: they cost what they did
+
+
+def _nan_spot(x):
+    # a kink at 1/3 splits both sides of it; the NaN at 23/64 is first
+    # sampled by a trio that shares its pass with trios popped before it
+    return np.where(np.abs(x - 23 / 64) < 1e-12, np.nan, np.sqrt(np.abs(x - 1 / 3)))
+
+
+# the first three runs pop every trio they solve ahead (the halves of a
+# failed interval are not solved ahead): they cost what they did
 _STOPPED_RUNS = [
     ("nan-region", Integrand(f=_nan_region, g=lambda x: 0.0 * x), "panel_failure", True),
     ("f-1e308", Integrand(f=lambda x: np.full_like(x, 1e308), g=lambda x: x),
      "panel_failure", True),
+    ("sqrt-0.3-x", Integrand(f=lambda x: np.sqrt(0.3 - x), g=lambda x: x), "panel_failure",
+     True),
+    ("nan-spot", Integrand(f=_nan_spot, g=lambda x: 10.0 * x), "panel_failure", False),
     ("inv-sqrt", Integrand(f=_inv_sqrt, g=lambda x: 100.0 * x), "width_floor", False),
 ]
 
@@ -311,3 +334,14 @@ def test_solve_ahead_keeps_every_bit_within_a_budget(monkeypatch):
     old, new, (factored_old, factored_new) = _same_run(monkeypatch, integrand, a, b)
     assert new.status == "budget_exhausted" and new.intervals_used == 1500
     assert factored_new <= 2 * factored_old + max(passes)
+
+
+def test_solve_ahead_keeps_every_bit_when_passes_are_capped(monkeypatch):
+    # two trios a pass: each breadth round of the table is split in passes
+    monkeypatch.setattr(adaptive, "PASS_ENTRIES", 2 * 3 * 12 ** 2)
+    passes = _largest_pass(monkeypatch)
+    (_, integrand, a, b), = _catalog("I22", {"lambda": 1e5, "m": 20.0})
+    old, new, (factored_old, factored_new) = _same_run(monkeypatch, integrand, a, b)
+    assert new.status == "converged" and new.fevals == old.fevals
+    assert factored_new == factored_old == new.intervals_used
+    assert max(passes) == 3 * 2

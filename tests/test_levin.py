@@ -221,6 +221,45 @@ def test_interior_nan_is_panel_failure():
         levin_panel(Integrand(f=f, g=lambda x: 0.0 * x), 0.0, 1.0)
 
 
+def test_phase_overflowing_to_inf_is_panel_failure():
+    # g = exp(1000 x) overflows to inf at x = 1, nudged or not: the span
+    # fails before its endpoint phase exp(i g) would warn on 0 * inf
+    integrand = Integrand(f=const_one, g=lambda x: np.exp(1000.0 * x))
+    for solver in ("qr", "svd"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PanelError, match="non-finite sample in "):
+                levin_panel(integrand, 0.0, 1.0, solver=solver)
+
+
+def _bad_on_region(x):
+    return (x > 0.3) & (x < 0.4)
+
+
+@pytest.mark.parametrize("solver", ("qr", "svd"))
+@pytest.mark.parametrize("f, g", [
+    (lambda x: np.where(_bad_on_region(x), np.nan, 1.0), lambda x: 40.0 * x),
+    # g overflows to inf on the region, endpoint phases included
+    (const_one, lambda x: 40.0 * x + np.exp(np.where(_bad_on_region(x), 1000.0, 0.0))),
+], ids=("nan-f", "inf-g"))
+def test_failed_trio_leaves_the_other_trios_of_its_pass(f, g, solver):
+    integrand = Integrand(f=f, g=g)
+    grid = chebyshev.grid(12)
+    bad = ((0.25, 0.5), (0.25, 0.375), (0.375, 0.5))
+    good = ((0.0, 0.25), (0.0, 0.125), (0.125, 0.25))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values, ranks, nevals = panel_values(integrand, bad + good + bad, grid, solver)
+        alone, alone_ranks, alone_nevals = panel_values(integrand, good, grid, solver)
+    for v in values[:3] + values[6:]:
+        assert isinstance(v, PanelError) and v.nevals == nevals
+        assert str(v).startswith("non-finite sample in [[0.25, ")
+    assert ranks[:3] + ranks[6:] == [None] * 6 and ranks[3:6] == alone_ranks
+    assert [(v.real.hex(), v.imag.hex()) for v in values[3:6]] == \
+        [(v.real.hex(), v.imag.hex()) for v in alone]
+    assert nevals > 3 * alone_nevals  # the bad trios' nudges count too
+
+
 def test_solver_agreement_quadratic_phase_sweep():
     f = lambda x: 1.0 + x * x
     for lam in 10.0 ** np.linspace(0, 3, 20):
