@@ -9,10 +9,11 @@ epsilons of their magnitude), the *unsplit* estimate is added to the
 running total, otherwise both halves go back on the worklist.  The
 worklist is a LIFO stack, so runs are deterministic.
 
-Trios are solved ahead of the driver, in a run-local table: a popped
-interval whose trio is not solved yet is solved together with the
+Both routes solve trios ahead of the driver, in a run-local table: a
+popped interval whose trio is not solved yet is solved together with the
 leftmost intervals the driver is certain to pop next (the halves of
-rejected intervals), one panel_values pass per breadth round, and later
+rejected intervals), one pass of the route's evaluator (a panel_values
+call, or one Gauss call of the integrand) per breadth round, and later
 pops take their trio from the table.  Each trio keeps the value bits of a
 pass of its own.  The table never holds more solved trios than the run
 has popped, so memory is bounded by the run's pops, no longer by the
@@ -151,35 +152,40 @@ def _run_worklist(trio, a: float, b: float, eps: float) -> QuadResult:
 
 
 class _SolveAhead:
-    """A run's trios solved before the driver pops them.
+    """A run's trios solved before the driver pops them, on either route.
 
-    ``pending`` holds, leftmost last, the unsolved intervals the LIFO
-    driver is certain to pop unless the run stops: the halves of a
-    rejected interval (never a failed one) when both pass the width floor.
-    ``solved`` maps an interval to its trio's values or PanelError.
+    ``solve(intervals)`` is the route's pass: the trio (v0, vl, vr) or the
+    PanelError of each (a0, b0), and the samples taken.  ``pending`` holds,
+    leftmost last, the unsolved intervals the LIFO driver is certain to pop
+    unless the run stops: the halves of a rejected interval (never a failed
+    one) when both pass the width floor of [a, b].  ``solved`` maps an
+    interval to its trio or PanelError.  A pass solves ``per_pass`` trios
+    at most.
     """
 
-    def __init__(self, eps: float, floor: float, k: int):
+    def __init__(self, solve, a: float, b: float, eps: float, per_pass: int):
+        self.solve = solve
         self.eps = eps
-        self.floor = floor
-        self.per_pass = max(1, PASS_ENTRIES // (3 * k * k))
+        self.floor = MIN_WIDTH_FACTOR * max(abs(a), abs(b), 1.0)
+        self.per_pass = per_pass
         self.pending: list[tuple[float, float]] = []
         self.solved: dict = {}
         self.popped = 0
 
-    def trio(self, integrand, a0, b0, grid, solver):
-        """The trio of [a0, b0], which the driver pops now, and the samples
-        this call took.
+    def trio(self, a0, c0, b0):
+        """(v0, vl, vr, nevals) of [a0, b0], which the driver pops now, with
+        the samples this call took, or raises the trio's PanelError.
 
         An unsolved [a0, b0] is the leftmost interval the driver holds, so
         it is ``pending[-1]`` if pending at all.  It is solved with the leftmost
-        pending intervals, one panel_values pass per breadth round, until
+        pending intervals, one pass of ``solve`` per breadth round, until
         the table holds as many trios as the run has popped.
         """
         self.popped += 1
         pending, solved = self.pending, self.solved
         nevals = 0
-        if (a0, b0) not in solved:
+        out = solved.pop((a0, b0), None)
+        if out is None:
             if not (pending and pending[-1] == (a0, b0)):
                 pending.append((a0, b0))
             room = self.popped - len(solved)
@@ -188,22 +194,17 @@ class _SolveAhead:
                 batch = pending[-n:]
                 del pending[-n:]
                 room -= n
-                spans = []
-                for lo, hi in batch:
-                    mid = 0.5 * (lo + hi)
-                    spans += ((lo, hi), (lo, mid), (mid, hi))
-                values, _, ne = panel_values(integrand, spans, grid, solver)
+                trios, ne = self.solve(batch)
                 nevals += ne
                 # right to left, so the halves keep pending leftmost last
-                for j, (lo, hi) in enumerate(batch):
-                    trio = values[3 * j: 3 * j + 3]
-                    failed = isinstance(trio[0], PanelError)
-                    solved[lo, hi] = trio[0] if failed else trio
+                for (lo, hi), trio in zip(batch, trios):
+                    solved[lo, hi] = trio
                     mid = 0.5 * (lo + hi)
-                    if (not failed and not accepted_pair_update(*trio, self.eps)
+                    if (not isinstance(trio, PanelError)
+                            and not accepted_pair_update(*trio, self.eps)
                             and mid - lo >= self.floor and hi - mid >= self.floor):
                         pending += ((mid, hi), (lo, mid))
-        out = solved.pop((a0, b0))
+            out = solved.pop((a0, b0))
         if isinstance(out, PanelError):
             raise PanelError(str(out), nevals)
         return (*out, nevals)
@@ -216,7 +217,18 @@ def adaptive_integrate(integrand: Integrand, a: float, b: float,
     if config is None:
         config = AdaptiveConfig()
     grid = chebyshev.grid(config.k)
-    ahead = _SolveAhead(config.eps, MIN_WIDTH_FACTOR * max(abs(a), abs(b), 1.0), config.k)
+
+    def solve(intervals):
+        # one panel_values pass; a failed trio's spans all hold its PanelError
+        spans = []
+        for lo, hi in intervals:
+            mid = 0.5 * (lo + hi)
+            spans += ((lo, hi), (lo, mid), (mid, hi))
+        values, _, nevals = panel_values(integrand, spans, grid, config.solver)
+        return [v0 if isinstance(v0, PanelError) else (v0, vl, vr)
+                for v0, vl, vr in zip(values[::3], values[1::3], values[2::3])], nevals
+
+    ahead = _SolveAhead(solve, a, b, config.eps, max(1, PASS_ENTRIES // (3 * config.k ** 2)))
 
     def trio(a0, c0, b0):
         return panel_trio(integrand, a0, c0, b0, grid, config.solver, ahead)

@@ -221,7 +221,7 @@ def panel_trio(integrand: Integrand, a0: float, c0: float, b0: float,
     together with the trios the driver pops after it, if it has not yet.
     """
     if ahead is not None:
-        return ahead.trio(integrand, a0, b0, grid, solver)
+        return ahead.trio(a0, c0, b0)
     values, _, nevals = panel_values(integrand, ((a0, b0), (a0, c0), (c0, b0)),
                                      grid, solver)
     if isinstance(values[0], PanelError):

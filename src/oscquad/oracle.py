@@ -3,13 +3,13 @@
 Cross-validation for the collocation-based integrator.  Panels are plain
 30-point Gauss-Legendre estimates and the adaptive acceptance is the same
 whole-vs-halves comparison used by the main driver, with the unsplit
-panel value accumulated on acceptance.  One call of ``fn`` samples nine
-panels: an interval and its two halves, and the trio each half is popped
-with if the interval is split.  One (9, 30) x 30 matrix-vector product sums
-them; a split interval's halves then reuse their trios, bit for bit, so
-the reported ``fevals`` include those lookahead samples.  Nothing numeric
-is shared with the Levin panels beyond the worklist logic, so agreement
-between the two is meaningful evidence of correctness.
+panel value accumulated on acceptance.  Trios are sampled ahead of the
+driver by the solve-ahead table the Levin route uses: one call of ``fn``
+samples the trios of a breadth round, and one (3m, 30) x 30 product sums
+their panels, each to the bits of a trio sampled on its own.  Nothing
+numeric is shared with the Levin panels beyond the worklist logic and
+that table, so agreement between the two is meaningful evidence of
+correctness.
 
 Being oblivious to the oscillator, the cost grows linearly with frequency;
 callers should keep it away from very high frequencies (the benchmark
@@ -24,11 +24,12 @@ from typing import Callable
 
 import numpy as np
 
-from .adaptive import QuadResult, _run_worklist, accepted_pair_update
+from .adaptive import QuadResult, _run_worklist, _SolveAhead
 from .levin import PanelError, check_domain
 
 _MAX_POINTS = 200
 _POINTS = 30  # Gauss-Legendre points per adaptive_gauss panel
+PASS_POINTS = 2 ** 12  # fn points a pass, 45 trios: a product too small for BLAS threads
 
 
 @dataclass(frozen=True)
@@ -86,56 +87,43 @@ def adaptive_gauss(fn: Callable[[np.ndarray], np.ndarray], a: float, b: float,
     the reference value does not limit comparisons.  The interval budget
     and width floor are those of the collocation driver.
 
-    Each call of ``fn`` takes 270 points: a trio for the popped interval
-    and one for each of its halves, so a half of a split interval is
-    estimated without a call of its own.  ``fevals`` counts every sampled
-    point, including those of halves never popped.
+    Each call of ``fn`` samples 90 points per trio for the trios of a
+    breadth round of the solve-ahead table (``adaptive._SolveAhead``), at
+    most PASS_POINTS points; each panel's points are mid + half * node, as
+    for a trio sampled on its own, and a non-finite sample or estimate
+    fails only its own trio.  ``fevals`` counts every sampled point: 90
+    per processed interval in a converged run (22.80M a pass over the
+    benchmark's reference table at seed 1), and in a run that stops, also
+    the trios sampled ahead and never popped.
     """
     check_domain(a, b)
     if not (tol > 0.0 and np.isfinite(tol)):
         raise ValueError("tol must be finite and > 0")
     n = _POINTS
-    rule = gauss_rule(n)
-    nodes = rule.nodes
-    weights = rule.weights
-    pending = {}  # (a0, b0) of a half of a split interval -> its finite trio
+    nodes, weights = gauss_rule(n).nodes, gauss_rule(n).weights
 
-    def rows(a0, c0, b0):
-        # mids and half-widths of a trio's panels, the whole then its halves
-        h0 = 0.5 * (b0 - a0)
+    def solve(intervals):
+        lo, hi = np.array(intervals).T
+        h0 = 0.5 * (hi - lo)
         hh = 0.5 * h0
-        return (a0 + h0, a0 + hh, c0 + hh), (h0, hh, hh)
-
-    def trio(a0, c0, b0):
-        cached = pending.pop((a0, b0), None)
-        if cached is not None:
-            return (*cached, 0)
-        # the halves' rows are those of their own trios: their midpoints
-        # are the driver's 0.5 * (a0 + b0) of each half
-        own, left, right = (rows(a0, c0, b0), rows(a0, 0.5 * (a0 + c0), c0),
-                            rows(c0, 0.5 * (c0 + b0), b0))
-        mids = np.array(own[0] + left[0] + right[0])
-        halves = np.array(own[1] + left[1] + right[1])
-        # each point is mid + half * node
+        # each point is mid + half * node, for a trio's whole, then its halves,
+        # the right half's mid taken from the driver's 0.5 * (a0 + b0)
+        mids = np.stack((lo + h0, lo + hh, 0.5 * (lo + hi) + hh), axis=1).ravel()
+        halves = np.stack((h0, hh, hh), axis=1).ravel()
         xs = mids[:, None] + halves[:, None] * nodes
         ys = np.asarray(fn(xs.ravel()), dtype=np.complex128)
         # the weights are positive, so a non-finite sample makes its sum non-finite
-        values = halves * (ys.reshape(9, n) @ weights)
-        finite = np.isfinite(values).reshape(3, 3).all(axis=1)
-        v0, vl, vr, *ahead = values.tolist()
-        if not (finite[0] and accepted_pair_update(v0, vl, vr, tol)):
-            # the driver splits a rejected or failed interval, so its halves
-            # are popped next unless the run stops; a half that is not
-            # finite is sampled again, and fails, when popped
-            for key, ok, half in (((a0, c0), finite[1], ahead[:3]),
-                                  ((c0, b0), finite[2], ahead[3:])):
-                if ok:
-                    pending[key] = half
-        if not finite[0]:
-            raise PanelError(f"non-finite sample or estimate in [{a0}, {b0}]", 9 * n)
-        return v0, vl, vr, 9 * n
+        values = halves * (ys.reshape(-1, n) @ weights)
+        finite = np.isfinite(values).reshape(-1, 3).all(axis=1).tolist()
+        values = values.tolist()
+        trios = [(v0, vl, vr) if ok else
+                 PanelError(f"non-finite sample or estimate in [{a0}, {b0}]", 3 * n)
+                 for v0, vl, vr, ok, (a0, b0)
+                 in zip(values[::3], values[1::3], values[2::3], finite, intervals)]
+        return trios, 3 * n * len(intervals)
 
+    ahead = _SolveAhead(solve, a, b, tol, max(1, PASS_POINTS // (3 * n)))
     # fn or a weighted sum may overflow or be undefined; the check above
     # catches every non-finite result, so numpy's warnings are silenced once
     with np.errstate(all="ignore"):
-        return _run_worklist(trio, a, b, tol)
+        return _run_worklist(ahead.trio, a, b, tol)

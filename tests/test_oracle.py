@@ -1,3 +1,4 @@
+import collections
 import math
 import warnings
 
@@ -141,17 +142,18 @@ def test_nan_region_is_panel_failure_with_the_partial_sum(monkeypatch):
     assert abs(res.value - 0.3) <= 1e-13
     # every processed interval counts, the failed ones too
     assert res.intervals_used == 3 * len(trios)
-    # every call samples a trio and its halves' trios; the finite halves of
-    # a split interval, a failed one included, are not sampled again
-    assert res.fevals == sum(sampled) == 270 * len(sampled)
-    assert len(sampled) < len(trios)
+    # every call samples whole trios, a breadth round of the table at a
+    # time; no interval here is rejected, only accepted or failed, and the
+    # halves of a failed one are not sampled ahead, so each call is one trio
+    assert res.fevals == sum(sampled)
+    assert all(size % 90 == 0 for size in sampled)
+    assert len(sampled) == len(trios)
 
 
 def test_trio_samples_each_panel_as_mid_plus_half_times_nodes(monkeypatch):
-    # a call samples nine panels, a trio and its halves' trios, but every
-    # point keeps the bits of its own panel's mid + half * node: each
-    # processed trio is rows 0-2 of its own call or rows 3-5 (left half)
-    # or 6-8 (right half) of its parent's
+    # a call samples the trios of a breadth round, but every point keeps the
+    # bits of its own panel's mid + half * node: each processed trio's 90
+    # points are one 90-point block of one call, and no block is sampled twice
     sampled = []
     trios = record_trios(monkeypatch)
 
@@ -163,25 +165,21 @@ def test_trio_samples_each_panel_as_mid_plus_half_times_nodes(monkeypatch):
     assert res.status == "converged" and len(trios) > 1
     assert type(res.value) is complex
     nodes = gauss_rule(30).nodes
-    calls = iter(sampled)
-    ahead = {}  # (a0, b0) of a sampled half -> its 90 points
+    blocks = collections.Counter(block.tobytes() for xs in sampled
+                                 for block in xs.reshape(-1, 90))
+    wanted = collections.Counter()
     for a0, c0, b0 in trios:
         h0 = 0.5 * (b0 - a0)
         hh = 0.5 * h0
-        want = np.concatenate(((a0 + h0) + h0 * nodes, (a0 + hh) + hh * nodes,
-                               (c0 + hh) + hh * nodes))
-        if (a0, b0) in ahead:
-            assert ahead.pop((a0, b0)).tobytes() == want.tobytes()
-        else:
-            xs = next(calls)
-            assert xs[:90].tobytes() == want.tobytes()
-            ahead[a0, c0], ahead[c0, b0] = xs[90:180], xs[180:]
-    assert next(calls, None) is None
+        wanted[np.concatenate(((a0 + h0) + h0 * nodes, (a0 + hh) + hh * nodes,
+                               (c0 + hh) + hh * nodes)).tobytes()] += 1
+    # a converged run pops every trio it sampled, each once
+    assert blocks == wanted and set(wanted.values()) == {1}
     assert len(sampled) < len(trios)
 
 
 def one_trio_per_call(fn, a, b, tol=1e-15):
-    """The evaluator without lookahead: each call of fn samples one trio."""
+    """The evaluator without the solve-ahead table: each call of fn samples one trio."""
     rule = gauss_rule(30)
 
     def trio(a0, c0, b0):
@@ -212,6 +210,8 @@ _CATALOG_RUNS = [
     ("I21", {"kappa": 100.0, "m": 100.0, "alpha": 0.5}),
     ("I22", {"lambda": 1e3, "m": 20.0}),
 ]
+# these runs reject no interval, and the halves of a failed one are not
+# sampled ahead: they sample as much as one trio per call
 _DIRECT_RUNS = [
     ("nan region", _nan_region, 0.0, 1.0, "panel_failure"),
     ("sqrt", lambda x: np.sqrt(0.3 - x), 0.0, 1.0, "panel_failure"),
@@ -221,13 +221,19 @@ _DIRECT_RUNS = [
 
 def _same_run(monkeypatch, fn, a, b):
     """Run both evaluators; every trio must return the same value bits, or
-    raise PanelError, in both, and so must the run."""
-    outcomes = []
+    raise PanelError, in both, and so must the run.  Returns both results
+    and the points of each call of fn in each run."""
+    outcomes, sampled = [], []
     run_worklist = oracle._run_worklist
+
+    def counted(x):
+        sampled[-1].append(x.size)
+        return fn(x)
 
     def recording(trio, *rest):
         seen = []
         outcomes.append(seen)
+        sampled.append([])
 
         def recorded(*args):
             try:
@@ -240,40 +246,62 @@ def _same_run(monkeypatch, fn, a, b):
         return run_worklist(recorded, *rest)
 
     monkeypatch.setattr(oracle, "_run_worklist", recording)
-    old, new = one_trio_per_call(fn, a, b), adaptive_gauss(fn, a, b)
+    old, new = one_trio_per_call(counted, a, b), adaptive_gauss(counted, a, b)
     assert outcomes[0] == outcomes[1]
-    for res in (old, new):
+    for res, sizes in zip((old, new), sampled):
         assert type(res.value) is complex
+        assert res.fevals == sum(sizes) and all(size % 90 == 0 for size in sizes)
     assert (old.value.real.hex(), old.value.imag.hex(), old.intervals_used, old.status) \
         == (new.value.real.hex(), new.value.imag.hex(), new.intervals_used, new.status)
-    return new
+    return old, new, sampled
 
 
+def _bounded_waste(old, new, sampled):
+    # the table never holds more trios than the run has popped
+    assert new.fevals <= 2 * old.fevals + max(sampled[1])
+
+
+# the adaptive_gauss runs below sample ahead through the solve-ahead table
 @pytest.mark.parametrize("id, params", _CATALOG_RUNS,
                          ids=[f"{id}-{params}" for id, params in _CATALOG_RUNS])
 def test_lookahead_keeps_every_bit_of_a_catalog_run(monkeypatch, id, params):
     fn, (a, b) = oracle_integrand(id, params)
-    assert _same_run(monkeypatch, fn, a, b).status == "converged"
+    old, new, _ = _same_run(monkeypatch, fn, a, b)
+    # every trio sampled ahead is popped: 90 points per processed interval
+    assert new.status == "converged" and new.fevals == old.fevals
 
 
 @pytest.mark.parametrize("name, fn, a, b, status", _DIRECT_RUNS,
                          ids=[run[0] for run in _DIRECT_RUNS])
 def test_lookahead_keeps_every_bit_of_a_failed_run(monkeypatch, name, fn, a, b, status):
-    assert _same_run(monkeypatch, fn, a, b).status == status
+    old, new, _ = _same_run(monkeypatch, fn, a, b)
+    assert new.status == status and new.fevals == old.fevals
 
 
 def test_lookahead_keeps_every_bit_at_the_width_floor(monkeypatch):
     # a step never converges; the floor stops it after 14 levels of splits
     monkeypatch.setattr(adaptive, "MIN_WIDTH_FACTOR", 1e-4)
-    res = _same_run(monkeypatch, lambda x: np.where(x < 1 / 3, 0.0, 1.0), 0.0, 1.0)
-    assert res.status == "width_floor"
+    old, new, sampled = _same_run(monkeypatch, lambda x: np.where(x < 1 / 3, 0.0, 1.0),
+                                  0.0, 1.0)
+    assert new.status == "width_floor"
+    _bounded_waste(old, new, sampled)
 
 
 def test_lookahead_keeps_every_bit_within_a_budget(monkeypatch):
     monkeypatch.setattr(adaptive, "MAX_INTERVALS", 7)
     fn, (a, b) = oracle_integrand("I7", {"lambda": 1e2})
-    res = _same_run(monkeypatch, fn, a, b)
-    assert res.status == "budget_exhausted" and res.intervals_used == 21
+    old, new, sampled = _same_run(monkeypatch, fn, a, b)
+    assert new.status == "budget_exhausted" and new.intervals_used == 21
+    _bounded_waste(old, new, sampled)
+
+
+def test_solve_ahead_keeps_every_bit_when_passes_are_capped(monkeypatch):
+    # two trios a call: each breadth round of the table is split in calls
+    monkeypatch.setattr(oracle, "PASS_POINTS", 2 * 90)
+    fn, (a, b) = oracle_integrand("I22", {"lambda": 1e3, "m": 20.0})
+    old, new, sampled = _same_run(monkeypatch, fn, a, b)
+    assert new.status == "converged" and new.fevals == old.fevals
+    assert max(sampled[1]) == 2 * 90
 
 
 @pytest.mark.parametrize("value", [math.inf, -math.inf, complex(0.0, math.inf)])
