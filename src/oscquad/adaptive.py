@@ -14,10 +14,10 @@ popped interval whose trio is not solved yet is solved together with the
 leftmost intervals the driver is certain to pop next (the halves of
 rejected intervals), one pass of the route's evaluator (a panel_values
 call, or one Gauss call of the integrand) per breadth round, and later
-pops take their trio from the table.  Each trio keeps the value bits of a
-pass of its own.  The table never holds more solved trios than the run
-has popped, so memory is bounded by the run's pops, no longer by the
-subdivision depth; the samples of a pass are counted in ``fevals`` when
+pops take their trio from the table (``panel_trio`` on the Levin route).
+Each trio keeps the value bits of a pass of its own.  The table never
+holds more solved trios than the run has popped, so memory is bounded by
+the run's pops, no longer by the subdivision depth; the samples of a pass are counted in ``fevals`` when
 taken, so a run that stops counts those of trios solved but never popped.
 
 Safety rails absent from the basic scheme, both fixed and reported
@@ -25,18 +25,20 @@ through ``QuadResult.status``: a budget of MAX_INTERVALS processed
 intervals per run ('budget_exhausted') and a width floor, an interval
 narrower than MIN_WIDTH_FACTOR * max(|a|, |b|, 1) ('width_floor').  A
 panel that cannot be estimated (non-finite samples) is split; one that
-still fails at the floor stops the run ('panel_failure').  The adaptive
+still fails at the floor stops the run ('panel_failure'), as does an
+accepted value that would overflow the sum ('overflow').  The adaptive
 Gauss-Legendre reference runs through the same driver and rails.
 """
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import chebyshev, linalg
-from .levin import Integrand, PanelError, check_domain, panel_trio, panel_values
+from .levin import Integrand, PanelError, check_domain, panel_values
 
 MAX_INTERVALS = 2 ** 20
 ROUNDOFF = 16.0 * linalg.EPS0  # unit of the width floor and the acceptance floor
@@ -112,7 +114,8 @@ def _run_worklist(trio, a: float, b: float, eps: float) -> QuadResult:
     ``trio(a0, c0, b0)`` returns (val0, val_l, val_r, nevals) and may raise
     PanelError; a failing interval still counts its three panels and the
     error's ``nevals``, and is split until the width floor, at which point
-    the run stops with status 'panel_failure'.  The budget and the floor
+    the run stops with status 'panel_failure'; an accepted value that would
+    overflow the sum stops it with 'overflow'.  The budget and the floor
     are read from MAX_INTERVALS and MIN_WIDTH_FACTOR once per run.
     """
     max_intervals = MAX_INTERVALS
@@ -144,6 +147,9 @@ def _run_worklist(trio, a: float, b: float, eps: float) -> QuadResult:
         else:
             fevals += ne
             if accepted_pair_update(v0, vl, vr, eps):
+                if not cmath.isfinite(val + v0):
+                    status = "overflow"
+                    break
                 val += v0
                 continue
         stack.append((c0, b0))
@@ -210,6 +216,11 @@ class _SolveAhead:
         return (*out, nevals)
 
 
+def panel_trio(ahead: _SolveAhead, a0: float, c0: float, b0: float):
+    """The Levin route's call per processed interval, looked up by name on each pop."""
+    return ahead.trio(a0, c0, b0)
+
+
 def adaptive_integrate(integrand: Integrand, a: float, b: float,
                        config: AdaptiveConfig | None = None) -> QuadResult:
     """Adaptively evaluate the integral of f * kernel(g) over [a, b]."""
@@ -229,8 +240,4 @@ def adaptive_integrate(integrand: Integrand, a: float, b: float,
                 for v0, vl, vr in zip(values[::3], values[1::3], values[2::3])], nevals
 
     ahead = _SolveAhead(solve, a, b, config.eps, max(1, PASS_ENTRIES // (3 * config.k ** 2)))
-
-    def trio(a0, c0, b0):
-        return panel_trio(integrand, a0, c0, b0, grid, config.solver, ahead)
-
-    return _run_worklist(trio, a, b, config.eps)
+    return _run_worklist(lambda *t: panel_trio(ahead, *t), a, b, config.eps)

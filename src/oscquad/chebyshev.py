@@ -47,8 +47,8 @@ def cheb_nodes(k: int) -> np.ndarray:
     endpoint values feed directly into antiderivative differences, so
     spurious last-bit asymmetry is worth removing.
     """
-    if k < 2:
-        raise ValueError(f"collocation order must be >= 2, got {k}")
+    if not (hasattr(k, "__index__") and k >= 2):  # an integer, as operator.index takes
+        raise ValueError(f"collocation order must be an integer >= 2, got {k!r}")
     j = np.arange(1, k + 1)
     x = np.cos(np.pi * (k - j) / (k - 1.0))
     x[0] = -1.0
@@ -63,7 +63,7 @@ def diff_matrix(k: int) -> np.ndarray:
     the negated-row-sum trick for the diagonal, which makes the matrix
     annihilate constants to machine precision.  Differentiation of any
     polynomial of degree < k sampled at the nodes is exact to roundoff.
-    ``cheb_nodes`` rejects k < 2.
+    ``cheb_nodes`` rejects a k that is not an integer >= 2.
     """
     x = cheb_nodes(k)
     c = np.ones(k)

@@ -25,13 +25,14 @@ they are the real and imaginary parts of the exp-kernel estimate E(g), and
 for complex f a second apply against conj(f) gives E(-g) = conj(E_conj(g)),
 so cos -> (E(g) + E(-g))/2 and sin -> (E(g) - E(-g))/(2i).
 
-``panel_values`` evaluates many panels (spans) as one stacked operation;
-only the truncated solve and the endpoint product run span by span, and a
-span that fails fails only its own trio of spans.  The
-product stays per span, in Python ``complex``: numpy's array complex
-multiply rounds differently from its scalar multiply, while Python's
-complex multiply rounds like the scalar one, so each value keeps the bits
-of a plain per-span evaluation.
+``panel_values`` evaluates many panels (spans) as one stacked operation,
+for ``levin_panel`` or for a pass of the solve-ahead table that the
+adaptive driver's per-interval call, ``adaptive.panel_trio``, reads.  Only
+the truncated solve and the endpoint product run span by span, and a
+failed span fails only its trio.  The product stays per span, in Python
+``complex``: numpy's array complex multiply rounds unlike its scalar one,
+while Python's complex multiply rounds like the scalar one, so each value
+keeps the bits of a plain per-span evaluation.
 """
 
 from __future__ import annotations
@@ -210,20 +211,3 @@ def levin_panel(integrand: Integrand, a0: float, b0: float,
         raise values[0]
     return LevinLocalResult(value=values[0], rank_used=ranks[0])
 
-
-def panel_trio(integrand: Integrand, a0: float, c0: float, b0: float,
-               grid: chebyshev.ChebGrid, solver: str, ahead=None):
-    """Estimates for [a0,b0], [a0,c0] and [c0,b0]: the adaptive driver's inner loop.
-
-    Returns (val0, val_left, val_right, nevals), or raises the PanelError
-    of the trio's first failed span.  ``ahead`` is the adaptive driver's
-    run-local table: the trio is taken from it, and the table solves it,
-    together with the trios the driver pops after it, if it has not yet.
-    """
-    if ahead is not None:
-        return ahead.trio(a0, c0, b0)
-    values, _, nevals = panel_values(integrand, ((a0, b0), (a0, c0), (c0, b0)),
-                                     grid, solver)
-    if isinstance(values[0], PanelError):
-        raise values[0]
-    return values[0], values[1], values[2], nevals

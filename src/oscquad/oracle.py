@@ -57,8 +57,8 @@ def gauss_rule(n: int) -> GaussRule:
     2 / ((1 - x^2) P_n'(x)^2).  The rule is exact for polynomials of
     degree 2n - 1 and the grid is symmetrized about 0.
     """
-    if not 1 <= n <= _MAX_POINTS:
-        raise ValueError(f"point count must be in [1, {_MAX_POINTS}], got {n}")
+    if not (hasattr(n, "__index__") and 1 <= n <= _MAX_POINTS):
+        raise ValueError(f"point count must be an integer in [1, {_MAX_POINTS}], got {n!r}")
     x = np.cos(np.pi * (np.arange(1, n + 1) - 0.25) / (n + 0.5))
     for _ in range(100):
         pn, dpn = _legendre(n, x)

@@ -110,6 +110,15 @@ def _fresnel_scales(lam: float):
     return 0.5 * math.sqrt(math.pi / lam) * rot, math.sqrt(lam) * rot
 
 
+def _i4(lam: float) -> complex:
+    """(i/lam) (e^{i lam} - e^{i lam e^10}), defined while lam * e^10 is finite."""
+    top = lam * float(np.exp(10.0))  # a float product overflows to inf, unwarned
+    if math.isinf(top):
+        raise ValueError(f"I4 needs lambda * exp(10) finite, so lambda <= "
+                         f"{sys.float_info.max / float(np.exp(10.0))!r}, got {lam!r}")
+    return (1j / lam) * (np.exp(1j * lam) - np.exp(1j * top))
+
+
 def _i5(lam: float) -> complex:
     """int_0^1 x e^{-x} exp(i*lam*x^2) dx.
 
@@ -187,9 +196,7 @@ CATALOG = {
     # cancels in comparisons.
     "I4": NamedIntegral(
         id="I4", f_expr="exp(x)", kernel="exp", params=("lambda",),
-        phases=("lambda*exp(x)",), domain=(0.0, 10.0),
-        closed_form=lambda lam: (1j / lam) * (np.exp(1j * lam)
-                                              - np.exp(1j * (lam * np.exp(10.0))))),
+        phases=("lambda*exp(x)",), domain=(0.0, 10.0), closed_form=_i4),
     "I5": NamedIntegral(
         id="I5", f_expr="exp(-x)*x", kernel="exp", params=("lambda",),
         phases=("lambda*x^2",), domain=(0.0, 1.0), closed_form=_i5),

@@ -7,7 +7,7 @@ import pytest
 from oscquad import (AdaptiveConfig, Integrand, PanelError, adaptive, adaptive_gauss,
                      adaptive_integrate, chebyshev, linalg)
 from oscquad.adaptive import accepted_pair_update
-from oscquad.levin import panel_trio
+from oscquad.levin import panel_values
 from oscquad.reference import integrand_for
 
 
@@ -112,6 +112,7 @@ def test_panel_failure_after_splitting_to_floor(monkeypatch):
         return out
 
     trios = []
+    panel_trio = adaptive.panel_trio
 
     def counted(*args):
         trios.append(args)
@@ -147,6 +148,15 @@ def test_phase_overflowing_to_inf_is_panel_failure():
             warnings.simplefilter("error")
             res = adaptive_integrate(integrand, 0.0, 1.0, AdaptiveConfig(solver=solver))
         assert res.status == "panel_failure", solver
+
+
+def test_overflowing_sum_is_overflow():
+    # every panel is finite, the sum of them is not: the run stops at the
+    # first accepted panel that would overflow it and keeps the finite sum
+    integrand = Integrand(f=lambda x: np.full_like(x, 1e306), g=lambda x: 0.0 * x)
+    res = adaptive_integrate(integrand, 0.0, 300.0)
+    assert res.status == "overflow"
+    assert res.value == 1.5e308
 
 
 def test_counts():
@@ -204,7 +214,11 @@ def one_trio_per_call(integrand, a, b):
     grid = chebyshev.grid(12)
 
     def trio(a0, c0, b0):
-        return panel_trio(integrand, a0, c0, b0, grid, "qr")
+        values, _, nevals = panel_values(integrand, ((a0, b0), (a0, c0), (c0, b0)),
+                                         grid, "qr")
+        if isinstance(values[0], PanelError):
+            raise values[0]
+        return (*values, nevals)
 
     return adaptive._run_worklist(trio, a, b, AdaptiveConfig().eps)
 
@@ -295,7 +309,6 @@ def _largest_pass(monkeypatch):
     """Record the spans of each panel_values pass of the solve-ahead table;
     the returned list's max is the largest pass (in qr_factor calls)."""
     spans = []
-    panel_values = adaptive.panel_values
 
     def recorded(integrand, batch, *rest):
         spans.append(len(batch))

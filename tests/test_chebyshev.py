@@ -32,6 +32,11 @@ def test_nodes_rejects_small_k():
         chebyshev.cheb_nodes(1)
     with pytest.raises(ValueError):
         chebyshev.diff_matrix(0)
+    # an order is an integer: 2.5 gave [-1, 0, 1]
+    for k in (2.5, 12.0, "12"):
+        with pytest.raises(ValueError, match="must be an integer"):
+            chebyshev.cheb_nodes(k)
+    assert chebyshev.cheb_nodes(np.int64(3)).tolist() == [-1.0, 0.0, 1.0]
 
 
 def test_diff_matrix_k2_on_linear():

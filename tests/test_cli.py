@@ -254,6 +254,7 @@ BAD_INPUTS = [
     ["integrate", "--paper-integral", "I21", "--param", "kappa=100", "--param", "m=2",
      "--param", "alpha=0.5", "--eps", "1e-3", "--eps-scale", "sqrt-kappa"],
     ["selftest", "--filter", "nomatch"],
+    ["sweep", "--paper-integral", "I4", "--decades", "305:305.1", "--count", "1"],
     ["integrate", "--paper-integral", "I1", "--param", "lambda=2", "--k", "201"],
     ["sweep", "--paper-integral", "I1", "--count", "1000000000"],
     ["compare", "--paper-integral", "I1", "--ranges", "1:10", "--samples", "1000001"],
@@ -403,6 +404,16 @@ def test_failed_trios_are_counted(solver, capsys):
     assert code == 1
     doc = json.loads(out)
     assert (doc["intervals"], doc["fevals"]) == (147, 1764)
+
+
+def test_overflowing_sum_is_overflow(capsys):
+    # every panel of f = 1e306 on [0, 300] is finite, their sum is not: the
+    # line keeps the finite partial sum, so it parses as JSON, and exits 1
+    code, out, _ = run_cli(["integrate", "--f", "1e306", "--g", "0*x", "--a", "0",
+                            "--b", "300", "--no-timing"], capsys)
+    assert code == 1
+    doc = json.loads(out)
+    assert (doc["status"], doc["value_re"], doc["value_im"]) == ("overflow", 1.5e308, 0)
 
 
 def test_unknown_integral_one_message(capsys):

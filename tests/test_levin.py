@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from oscquad import Integrand, PanelError, adaptive_gauss, chebyshev, levin_panel, linalg
-from oscquad.levin import NUDGE_FACTOR, panel_trio, panel_values
+from oscquad.levin import NUDGE_FACTOR, panel_values
 
 
 def const_one(x):
@@ -176,7 +176,8 @@ def test_trio_nudges_each_sample_inside_its_own_span():
 
     integrand = Integrand(f=f, g=lambda x: 3.0 * x)
     grid = chebyshev.grid(12)
-    _, left, right, nevals = panel_trio(integrand, -1.0, 0.0, 1.0, grid, "qr")
+    (_, left, right), _, nevals = panel_values(
+        integrand, ((-1.0, 1.0), (-1.0, 0.0), (0.0, 1.0)), grid, "qr")
     assert nevals == 38
     step = NUDGE_FACTOR * 1.0  # both halves have width 1
     assert len(resampled) == 1
@@ -275,6 +276,9 @@ def test_rejects_bad_interval_and_kernel():
         levin_panel(Integrand(f=const_one, g=const_one), 1.0, 0.0)
     with pytest.raises(ValueError):
         Integrand(f=const_one, g=const_one, kernel="tan")
+    # the driver validates its solver in AdaptiveConfig; levin_panel passes its own
+    with pytest.raises(ValueError, match="solver must be one of"):
+        levin_panel(Integrand(f=const_one, g=const_one), 0.0, 1.0, solver="lu")
 
 
 def reference_panel_values(integrand, spans, grid, solver):

@@ -76,6 +76,20 @@ def test_rule_bounds():
         gauss_rule(0)
     with pytest.raises(ValueError):
         gauss_rule(201)
+    # a point count is an integer, also once the int rule is cached
+    gauss_rule(30)
+    for n in (30.0, 2.5, "30"):
+        with pytest.raises(ValueError, match="must be an integer"):
+            gauss_rule(n)
+    np.testing.assert_array_equal(gauss_rule(np.int64(30)).nodes, gauss_rule(30).nodes)
+
+
+def test_overflowing_sum_is_overflow():
+    # the panels of 1e307 on [0, 30] are finite once split, their sum is not
+    res = adaptive_gauss(lambda x: np.full_like(x, 1e307), 0.0, 30.0)
+    assert res.status == "overflow"
+    assert math.isfinite(res.value.real) and res.value.real >= 1.5e308
+    assert res.value.imag == 0.0
 
 
 def test_adaptive_polynomial():

@@ -108,6 +108,22 @@ def test_closed_forms_refuse_subnormal_lambda():
     assert closed_form_value("I6", tiny) == pytest.approx(8 / 3, rel=1e-15)
 
 
+@pytest.mark.parametrize(
+    "id", [id for id, entry in reference.CATALOG.items() if entry.closed_form is not None])
+def test_closed_forms_are_finite_or_refuse_lambda(id):
+    # across the normal floats each form returns a finite value or raises
+    # ValueError, never a warning (which the test settings make an error)
+    for lam in (sys.float_info.min, 1.0, 1e300, 8e303, 9e303, sys.float_info.max):
+        try:
+            value = closed_form_value(id, {"lambda": lam})
+        except ValueError as exc:
+            assert id == "I4" and lam > 8.2e303
+            assert str(exc) == ("I4 needs lambda * exp(10) finite, so lambda <= "
+                                f"8.161514205725033e+303, got {lam!r}")
+        else:
+            assert cmath.isfinite(value), (id, lam)
+
+
 def test_nonconverged_component_status_is_passed_on(monkeypatch):
     # with a budget of one interval neither I21 component can converge
     monkeypatch.setattr(adaptive, "MAX_INTERVALS", 1)
