@@ -190,6 +190,7 @@ def cmd_sweep(args) -> int:
 def cmd_compare(args) -> int:
     rng = np.random.default_rng(args.seed)
     rows = []
+    worst_status = 0
     for lo, hi in args.ranges:
         lams = 10.0 ** rng.uniform(np.log10(lo), np.log10(hi), args.samples)
         t_levin = []
@@ -197,11 +198,15 @@ def cmd_compare(args) -> int:
         max_diff = 0.0
         for params, res_l, seconds in _runs(args, "lambda", lams):
             t_levin.append(seconds)
+            if res_l.status != "converged":
+                worst_status = 1
             if params["lambda"] <= args.max_oracle_lambda:
                 t0 = time.perf_counter()
                 res_g = reference.evaluate_oracle(args.paper_integral, params,
                                                   tol=args.oracle_tol)
                 t_gauss.append(time.perf_counter() - t0)
+                if res_g.status != "converged":
+                    worst_status = 1
                 max_diff = max(max_diff, abs(res_l.value - res_g.value))
         timing = not args.no_timing
         avg_l = float(np.mean(t_levin)) if timing else 0.0
@@ -218,7 +223,7 @@ def cmd_compare(args) -> int:
             "max_abs_difference": _fmt(max_diff) if t_gauss else "",
         })
     _write_csv(args.out, rows)
-    return 0
+    return worst_status
 
 
 @contextlib.contextmanager

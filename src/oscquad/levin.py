@@ -27,12 +27,16 @@ so cos -> (E(g) + E(-g))/2 and sin -> (E(g) - E(-g))/(2i).
 
 ``panel_values`` evaluates many panels (spans) as one stacked operation,
 for ``levin_panel`` or for a pass of the solve-ahead table that the
-adaptive driver's per-interval call, ``adaptive.panel_trio``, reads.  Only
-the truncated solve and the endpoint product run span by span, and a
-failed span fails only its trio.  The product stays per span, in Python
-``complex``: numpy's array complex multiply rounds unlike its scalar one,
-while Python's complex multiply rounds like the scalar one, so each value
-keeps the bits of a plain per-span evaluation.
+adaptive driver's per-interval call, ``adaptive.panel_trio``, reads.
+Sampling, g', the stack of collocation matrices, the endpoint phases and,
+on the QR route, every span's rank test and the place of p(a) and p(b) in
+its pivoted solution run once per pass.  Per span run only the
+factorization, the solve (LAPACK alone for a full-rank QR span) and the
+endpoint product, and a failed span fails only its trio.  The product
+stays per span, in Python ``complex``: numpy's array complex multiply
+rounds unlike its scalar one, while Python's complex multiply rounds like
+the scalar one, so each value keeps the bits of a plain per-span
+evaluation.
 """
 
 from __future__ import annotations
@@ -106,9 +110,14 @@ def panel_values(integrand: Integrand, spans, grid: chebyshev.ChebGrid, solver: 
     single vectorized call over all of them.  A node where f or g is
     non-finite is re-evaluated once, shifted toward the interior of its own
     span by NUDGE_FACTOR times that span's width.  g', the matrices
-    D/h + i diag(g') and the endpoint phases are each computed once over
-    all spans; each span's truncated solve uses the default threshold of
-    ``linalg``.
+    D/h + i diag(g') (one stack) and the endpoint phases are each computed
+    once over all spans.  Then each live span is factored by one call, a
+    QR factorization in place in the stack.  The spans of full rank under
+    ``linalg``'s default threshold are found at once, with the place of
+    p(a) and p(b) in their pivoted solutions, and solved by
+    ``linalg.qr_solve``; the rest (rank-deficient, or with a NaN on R's
+    diagonal) go through ``linalg.qr_apply``, as every span of the SVD
+    route goes through ``linalg.tsvd_apply``.
 
     Spans come in trios, as the adaptive driver solves them: spans 3j,
     3j + 1 and 3j + 2 are trio j (a lone span is a trio of its own).  A
@@ -116,16 +125,20 @@ def panel_values(integrand: Integrand, spans, grid: chebyshev.ChebGrid, solver: 
     overflows (in g' or D/h, before any span is factored, whatever the
     solver), a LinalgError or a non-finite estimate fails the span's trio:
     each of its spans gets that PanelError as its value, its later spans
-    are not solved, and other trios keep theirs.  The second apply against
-    conj(f) of a cos or sin kernel is decided per span too, so no value
-    bit depends on which spans share the pass.  Returns (values, ranks,
-    nevals); a failed span's rank is None, and nevals, the ``nevals`` of
-    each PanelError too, counts every point the pass sampled.
+    are not solved, and other trios keep theirs.  Since all spans are
+    factored before any is applied, the later spans of a trio whose
+    estimate fails may already be factored, but are not applied, and a
+    factorization's LinalgError fails its trio before any estimate of that
+    trio is checked.  The second apply against conj(f) of a cos or sin
+    kernel is decided per span too, so no value bit depends on which spans
+    share the pass.  Returns (values, ranks, nevals); a failed span's rank
+    is None, and nevals, the ``nevals`` of each PanelError too, counts
+    every point the pass sampled.
     """
     if solver not in linalg.SOLVERS:
         raise ValueError(f"solver must be one of {linalg.SOLVERS}, got {solver!r}")
-    factor, apply = ((linalg.qr_factor, linalg.qr_apply) if solver == "qr"
-                     else (linalg.svd, linalg.tsvd_apply))
+    qr = solver == "qr"
+    apply = linalg.qr_apply if qr else linalg.tsvd_apply
     spans = np.asarray(spans, dtype=np.float64)
     lo, hi = spans[:, 0], spans[:, 1]
     half = 0.5 * (hi - lo)
@@ -157,42 +170,71 @@ def panel_values(integrand: Integrand, spans, grid: chebyshev.ChebGrid, solver: 
         gs = gs.reshape(n, k, 1)
         # rounds like grid.diff @ gs[i]; gs @ grid.diff.T and einsum do not
         gprime = np.matmul(grid.diff, gs)[:, :, 0] / half[:, None]
-        a = np.zeros((n, k, k), dtype=np.complex128)
-        np.divide(grid.diff, half[:, None, None], out=a.real)
+        # at[i] is span i's matrix transposed, so mats[i] is Fortran-ordered
+        # and a QR factorization overwrites it
+        at = np.zeros((n, k, k), dtype=np.complex128)
+        np.divide(grid.diff.T, half[:, None, None], out=at.real)
         phases = np.exp(1j * gs[:, :: k - 1, 0]).tolist()
-    # a is C-contiguous, so reshape gives a view of every diagonal
-    a.reshape(n, -1).imag[:, :: k + 1] = gprime
-    if not np.isfinite(a).all():
-        for i in np.nonzero(~np.isfinite(a).all(axis=(1, 2)))[0].tolist():
+    # at is C-contiguous, so reshape gives a view of every diagonal
+    at.reshape(n, -1).imag[:, :: k + 1] = gprime
+    if not np.isfinite(at).all():
+        for i in np.nonzero(~np.isfinite(at).all(axis=(1, 2)))[0].tolist():
             part = "g'" if not np.isfinite(gprime[i]).all() else "D/h"
             failed.setdefault(i // 3, f"non-finite {part} in {spans[i:i + 1].tolist()}"
                                       ": the collocation matrix overflows")
+    mats = at.transpose(0, 2, 1)
+    factors = [None] * n
+    for i in range(n):
+        if i // 3 not in failed:
+            # overwrite_a goes by position, which wrappers taking *args pass on
+            try:
+                factors[i] = linalg.qr_factor(mats[i], True) if qr else linalg.svd(mats[i])
+            except linalg.LinalgError as exc:
+                failed[i // 3] = str(exc)
+    # span -> where p(a) and p(b) sit in its pivoted solution, for every
+    # QR-factored span that passes the default full-rank test; the
+    # diagonals of those spans' mats are their R factors' (real) diagonals
+    ends = {}
+    live = [i for i, fi in enumerate(factors) if fi is not None] if qr else []
+    if live:
+        full = linalg.full_rank(np.abs(mats.diagonal(0, 1, 2)[live])).tolist()
+        # each row of the argsort is an inverse permutation: its first and
+        # last entries are where pivots 1 and k sit
+        pos = np.array([factors[i].jpvt for i in live]).argsort(axis=1)[:, :: k - 1]
+        ends = {i: j for i, j, ok in zip(live, pos.tolist(), full) if ok}
+
+    def endpoints(i, y):
+        """p(a), p(b) and the rank of span i's truncated solve against y."""
+        j = ends.get(i)
+        if j is not None:
+            z = linalg.qr_solve(factors[i], y)
+            return z.item(j[0]), z.item(j[1]), k
+        p, rank = apply(factors[i], y)
+        return p.item(0), p.item(k - 1), rank
+
     fs = fs.reshape(n, k)
     kernel = integrand.kernel
     conj = fs.imag.any(axis=1).tolist() if kernel != "exp" else [False] * n
-    values, ranks = [], []
-    for i, (ai, fi, (ea, eb), want_conj) in enumerate(zip(a, fs, phases, conj)):
-        value = rank = None
-        if i // 3 not in failed:
-            try:
-                factors = factor(ai)
-                p, rank = apply(factors, fi)
-                # Python complex products round like numpy's scalar ones (module doc)
-                p0, p1 = p[:: k - 1].tolist()
-                value = p1 * eb - p0 * ea
-                if want_conj:
-                    pc0, pc1 = apply(factors, fi.conj())[0][:: k - 1].tolist()
-                    value_neg = (pc1 * eb - pc0 * ea).conjugate()
-                    value = (0.5 * (value + value_neg) if kernel == "cos"
-                             else (value - value_neg) / 2j)
-                elif kernel != "exp":
-                    value = complex(value.real if kernel == "cos" else value.imag)
-                if not cmath.isfinite(value):
-                    failed[i // 3] = f"non-finite panel estimate on {spans[i].tolist()}"
-            except linalg.LinalgError as exc:
-                failed[i // 3] = str(exc)
-        values.append(value)
-        ranks.append(rank)
+    values, ranks = [None] * n, [None] * n
+    for i, (fi, (ea, eb), want_conj) in enumerate(zip(fs, phases, conj)):
+        if i // 3 in failed:
+            continue
+        try:
+            # Python complex products round like numpy's scalar ones (module doc)
+            p0, p1, ranks[i] = endpoints(i, fi)
+            value = p1 * eb - p0 * ea
+            if want_conj:
+                pc0, pc1, _ = endpoints(i, fi.conj())
+                value_neg = (pc1 * eb - pc0 * ea).conjugate()
+                value = (0.5 * (value + value_neg) if kernel == "cos"
+                         else (value - value_neg) / 2j)
+            elif kernel != "exp":
+                value = complex(value.real if kernel == "cos" else value.imag)
+            if not cmath.isfinite(value):
+                failed[i // 3] = f"non-finite panel estimate on {spans[i].tolist()}"
+            values[i] = value
+        except linalg.LinalgError as exc:
+            failed[i // 3] = str(exc)
     for i in range(n):
         if i // 3 in failed:
             values[i], ranks[i] = PanelError(failed[i // 3], nevals), None

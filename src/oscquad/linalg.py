@@ -19,9 +19,15 @@ The factorizations themselves come from LAPACK (via numpy/scipy); the
 truncation and retained-subspace logic lives here.  LAPACK routines are
 prebound at import time because these solves sit on the hot path of the
 adaptive integrator (thousands of 12 x 12 solves per integral).  For the
-same reason ``QrFactors`` is a named tuple and ``qr_apply`` checks for
-full rank first.  No routine modifies its arguments, and an apply whose
-solution overflows returns it non-finite, without a warning.
+same reason ``qr_factor`` can factor in place (``overwrite_a``),
+``QrFactors`` keeps geqp3's raw pivots and computes ``perm`` and ``rdiag``
+only when read, and ``unmqr`` gets lwork 1, the least it takes for one
+right-hand side (it then runs its unblocked code, as it does for any k
+below 261 whatever lwork).  A caller with many factorizations can test
+them for full rank at once (``full_rank``) and solve those with
+``qr_solve``, the ``unmqr`` + ``trtrs`` sequence of ``qr_apply``'s
+full-rank case.  No routine modifies its arguments unless told to, and an
+apply whose solution overflows returns it non-finite, without a warning.
 """
 
 from __future__ import annotations
@@ -96,16 +102,60 @@ class QrFactors(NamedTuple):
 
     qr: np.ndarray      # packed Householder vectors + R (LAPACK layout)
     tau: np.ndarray
-    perm: np.ndarray    # 0-based column permutation
-    rdiag: np.ndarray   # |diag(R)|
+    jpvt: np.ndarray    # geqp3's 1-based column pivots
+
+    @property
+    def perm(self) -> np.ndarray:
+        """The 0-based column permutation."""
+        return self.jpvt.astype(np.intp) - 1
+
+    @property
+    def rdiag(self) -> np.ndarray:
+        """|diag(R)|."""
+        return np.abs(self.qr.diagonal())
 
 
-def qr_factor(a: np.ndarray) -> QrFactors:
-    """Pivoted QR of ``a``, which is left unchanged (geqp3 factors a copy)."""
-    qr, jpvt, tau, _work, info = _geqp3(a)
+def qr_factor(a: np.ndarray, overwrite_a: bool = False) -> QrFactors:
+    """Pivoted QR of ``a``, which is left unchanged unless ``overwrite_a``.
+
+    With ``overwrite_a`` true, a Fortran-ordered complex128 ``a`` is
+    factored in place and becomes ``qr``; any other ``a`` is copied first.
+    """
+    qr, jpvt, tau, _work, info = _geqp3(a, overwrite_a=overwrite_a)
     if info != 0:
         raise LinalgError(f"geqp3 failed with info={info}")
-    return QrFactors(qr, tau, jpvt.astype(np.intp) - 1, np.abs(qr.diagonal()))
+    return QrFactors(qr, tau, jpvt)
+
+
+def full_rank(rdiag: np.ndarray) -> np.ndarray:
+    """Which rows of a stack of |diag R| pass qr_apply's default full-rank test.
+
+    Row i passes when its least entry is at least the default threshold
+    computed from its first; a row with a NaN does not pass.
+    """
+    threshold = EPS0 * rdiag[:, 0]
+    # a threshold of 0 stands for _TINY, as in qr_apply, which the row
+    # fails: EPS0 * d is 0 only for d < _TINY
+    return (rdiag.min(axis=1) >= threshold) & (threshold != 0.0)
+
+
+def _q_star(factors: QrFactors, y: np.ndarray) -> np.ndarray:
+    """Q* y as a k x 1 column."""
+    c, _work, info = _unmqr("L", "C", factors.qr, factors.tau, y.reshape(-1, 1), 1)
+    if info != 0:
+        raise LinalgError(f"unmqr failed with info={info}")
+    return c
+
+
+def qr_solve(factors: QrFactors, y: np.ndarray) -> np.ndarray:
+    """R^-1 Q* y, the full-rank solve, as a k x 1 column z in pivoted order.
+
+    ``x[perm] = z[:, 0]`` gives the solution x of A x = y.
+    """
+    z, info = _trtrs(factors.qr, _q_star(factors, y), lower=0, overwrite_b=1)
+    if info != 0:
+        raise LinalgError(f"triangular solve failed with info={info}")
+    return z
 
 
 def qr_apply(factors: QrFactors, y: np.ndarray, threshold: float | None = None):
@@ -129,14 +179,10 @@ def qr_apply(factors: QrFactors, y: np.ndarray, threshold: float | None = None):
     x = np.zeros(k, dtype=np.complex128)
     if rank == 0:
         return x, 0
-    c, _work, info = _unmqr("L", "C", qr, factors.tau, y.reshape(k, 1), 16 * k)
-    if info != 0:
-        raise LinalgError(f"unmqr failed with info={info}")
     if rank == k:
-        z, info = _trtrs(qr, c, lower=0, overwrite_b=1)
-        if info != 0:
-            raise LinalgError(f"triangular solve failed with info={info}")
+        z = qr_solve(factors, y)
     else:  # tzrzf copies the rows and reads only their upper trapezoid
+        c = _q_star(factors, y)
         t, ztau, info_tz = _tzrzf(qr[:rank])
         w, info_tr = _trtrs(t[:, :rank], c[:rank], lower=0)
         c[:rank], c[rank:] = w, 0.0

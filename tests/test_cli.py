@@ -380,6 +380,20 @@ def test_nonconverged_sweep_row_exits_1(monkeypatch, capsys):
     assert [row["status"] for row in rows] == ["budget_exhausted"] * 2
 
 
+def test_nonconverged_compare_run_exits_1(monkeypatch, capsys):
+    # the CSV has no status column; the exit code is where a run that did
+    # not converge shows
+    argv = ["compare", "--paper-integral", "I6", "--ranges", "1:10", "--samples", "2",
+            "--no-timing"]
+    code, want, _ = run_cli(argv, capsys)
+    assert code == 0
+    monkeypatch.setattr(adaptive, "MAX_INTERVALS", 1)
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 1
+    (row,) = csv.DictReader(io.StringIO(out))
+    assert list(row) == next(csv.reader(io.StringIO(want)))
+
+
 @pytest.mark.parametrize("argv", [
     ["--f", "1e308", "--solver", "qr"],
     ["--f", "1e308", "--solver", "svd"],

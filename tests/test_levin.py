@@ -238,12 +238,18 @@ def _bad_on_region(x):
 
 
 @pytest.mark.parametrize("solver", ("qr", "svd"))
-@pytest.mark.parametrize("f, g", [
-    (lambda x: np.where(_bad_on_region(x), np.nan, 1.0), lambda x: 40.0 * x),
+@pytest.mark.parametrize("f, g, why", [
+    (lambda x: np.where(_bad_on_region(x), np.nan, 1.0), lambda x: 40.0 * x,
+     "non-finite sample in [[0.25, "),
     # g overflows to inf on the region, endpoint phases included
-    (const_one, lambda x: 40.0 * x + np.exp(np.where(_bad_on_region(x), 1000.0, 0.0))),
-], ids=("nan-f", "inf-g"))
-def test_failed_trio_leaves_the_other_trios_of_its_pass(f, g, solver):
+    (const_one, lambda x: 40.0 * x + np.exp(np.where(_bad_on_region(x), 1000.0, 0.0)),
+     "non-finite sample in [[0.25, "),
+    # finite samples and matrices, but the estimate overflows: the trio's
+    # later spans are factored before its first one fails, and not applied
+    (lambda x: np.where(_bad_on_region(x), 1e308, 1.0), lambda x: 40.0 * x,
+     "non-finite panel estimate on [0.25, 0.5]"),
+], ids=("nan-f", "inf-g", "overflowing-estimate"))
+def test_failed_trio_leaves_the_other_trios_of_its_pass(f, g, why, solver):
     integrand = Integrand(f=f, g=g)
     grid = chebyshev.grid(12)
     bad = ((0.25, 0.5), (0.25, 0.375), (0.375, 0.5))
@@ -254,11 +260,14 @@ def test_failed_trio_leaves_the_other_trios_of_its_pass(f, g, solver):
         alone, alone_ranks, alone_nevals = panel_values(integrand, good, grid, solver)
     for v in values[:3] + values[6:]:
         assert isinstance(v, PanelError) and v.nevals == nevals
-        assert str(v).startswith("non-finite sample in [[0.25, ")
+        assert str(v).startswith(why)
     assert ranks[:3] + ranks[6:] == [None] * 6 and ranks[3:6] == alone_ranks
     assert [(v.real.hex(), v.imag.hex()) for v in values[3:6]] == \
         [(v.real.hex(), v.imag.hex()) for v in alone]
-    assert nevals > 3 * alone_nevals  # the bad trios' nudges count too
+    if why.startswith("non-finite sample"):
+        assert nevals > 3 * alone_nevals  # the bad trios' nudges count too
+    else:
+        assert nevals == 3 * alone_nevals
 
 
 def test_solver_agreement_quadratic_phase_sweep():
@@ -328,6 +337,22 @@ def mixed_f(x):
     return np.exp(-x) + 1j * np.maximum(x, 0.0)
 
 
+def inv_sqrt_abs(x):
+    with np.errstate(all="ignore"):
+        return 1.0 / np.sqrt(np.abs(x)) + 0.25j * x
+
+
+def flat_left(x):
+    return np.where(x < -0.5, 0.0, 1e3 * x * x)
+
+
+# one pass of three kinds of trio: a flat phase (rank < k), a high
+# frequency (full rank) and an endpoint nudged off f(0) = inf
+THREE_KINDS = ((-1.0, -0.6), (-1.0, -0.8), (-0.8, -0.6),
+               (0.2, 0.8), (0.2, 0.5), (0.5, 0.8),
+               (0.0, 1e-3), (0.0, 5e-4), (5e-4, 1e-3))
+
+
 @pytest.mark.parametrize("solver", ("qr", "svd"))
 @pytest.mark.parametrize("f, g, kernel, spans", [
     (lambda x: np.exp(-x) + 1j * x, lambda x: 40.0 * x + 3.0 * x ** 2, "exp",
@@ -350,8 +375,10 @@ def mixed_f(x):
     *((mixed_f, lambda x: 40.0 * x + 3.0 * x ** 2, kernel,
        ((-1.0, -0.25), (0.25, 1.0), (-0.6, -0.1), (-0.25, 0.5), (-1.0, -0.6)))
       for kernel in ("cos", "sin")),
+    *((inv_sqrt_abs, flat_left, kernel, THREE_KINDS) for kernel in ("exp", "cos")),
 ], ids=("exp", "real-f-cos", "real-f-sin", "complex-f-cos", "complex-f-sin",
-        "exp-24-spans", "nudged-flat", "nudged-flat-cos", "mixed-f-cos", "mixed-f-sin"))
+        "exp-24-spans", "nudged-flat", "nudged-flat-cos", "mixed-f-cos", "mixed-f-sin",
+        "three-kinds-exp", "three-kinds-cos"))
 def test_panel_values_match_per_span_reference(f, g, kernel, spans, solver):
     # bit for bit: the stacked evaluation may not change a single value bit;
     # an odd k puts a zero on the diagonal of D (the middle node)
@@ -365,3 +392,5 @@ def test_panel_values_match_per_span_reference(f, g, kernel, spans, solver):
             [(v.real.hex(), v.imag.hex()) for v in want_values]
         if g(np.ones(1))[0] == 0.0:
             assert min(ranks) < k
+        if spans is THREE_KINDS:
+            assert max(ranks[:3]) < k and ranks[3:6] == [k] * 3

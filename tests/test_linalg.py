@@ -165,6 +165,54 @@ def test_qr_factor_leaves_its_argument_unchanged():
         assert not np.shares_memory(factors.qr, a)
 
 
+def test_qr_factor_in_place_matches_the_copying_call():
+    # random, planted rank-deficient and all-zero matrices: the factors of
+    # a Fortran-ordered matrix overwritten in place have the copying call's
+    # bits, and so does every apply of them
+    rng = np.random.default_rng(13)
+    k = 12
+    y = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+    for m in (rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k)),
+              _planted_rank_deficient(rng, 5, 0.0), _planted_rank_deficient(rng, 9, 1e-20),
+              np.zeros((k, k), dtype=complex)):
+        want = linalg.qr_factor(m)
+        a = np.asfortranarray(m)
+        got = linalg.qr_factor(a, True)
+        assert np.shares_memory(got.qr, a)
+        for name in ("qr", "tau", "perm", "rdiag"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+        for threshold in (None, 1e-10):
+            x, rank = linalg.qr_apply(got, y, threshold)
+            want_x, want_rank = linalg.qr_apply(want, y, threshold)
+            assert (x.tobytes(), rank) == (want_x.tobytes(), want_rank)
+    # a C-ordered matrix is copied, not overwritten
+    m = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
+    a = m.copy()
+    assert not np.shares_memory(linalg.qr_factor(a, True).qr, a)
+    np.testing.assert_array_equal(a, m)
+
+
+def test_full_rank_is_qr_apply_default_test():
+    # the stacked test agrees with qr_apply's own default rank, NaN included
+    rng = np.random.default_rng(14)
+    k = 12
+    mats = [rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k)),
+            _planted_rank_deficient(rng, 7, 0.0), np.zeros((k, k), dtype=complex),
+            np.diag(np.r_[1.0, np.full(k - 1, 1e-300)]) + 0j]
+    factors = [linalg.qr_factor(m) for m in mats]
+    factors.append(factors[0]._replace(qr=factors[0].qr.copy()))
+    factors[-1].qr[3, 3] = np.nan
+    got = linalg.full_rank(np.array([f.rdiag for f in factors]))
+    y = np.ones(k, dtype=complex)
+    assert got.tolist() == [linalg.qr_apply(f, y)[1] == k and not np.isnan(f.rdiag).any()
+                            for f in factors]
+    assert got.tolist() == [True, False, False, False, False]
+    z = linalg.qr_solve(factors[0], y)
+    x = np.zeros(k, dtype=complex)
+    x[factors[0].perm] = z[:, 0]
+    assert x.tobytes() == linalg.qr_apply(factors[0], y)[0].tobytes()
+
+
 def test_default_threshold_is_eps0_times_the_norm_proxy():
     rng = np.random.default_rng(9)
     k = 12
