@@ -112,12 +112,12 @@ def panel_values(integrand: Integrand, spans, grid: chebyshev.ChebGrid, solver: 
     span by NUDGE_FACTOR times that span's width.  g', the matrices
     D/h + i diag(g') (one stack) and the endpoint phases are each computed
     once over all spans.  Then each live span is factored by one call, a
-    QR factorization in place in the stack.  The spans of full rank under
-    ``linalg``'s default threshold are found at once, with the place of
-    p(a) and p(b) in their pivoted solutions, and solved by
-    ``linalg.qr_solve``; the rest (rank-deficient, or with a NaN on R's
-    diagonal) go through ``linalg.qr_apply``, as every span of the SVD
-    route goes through ``linalg.tsvd_apply``.
+    QR factorization in place in the stack.  The spans that keep every
+    direction under ``linalg``'s truncation rule (``linalg.retained``,
+    default threshold) are found at once, with the place of p(a) and p(b)
+    in their pivoted solutions, and solved by ``linalg.qr_solve``; the
+    rank-deficient rest go through ``linalg.qr_apply``, as every span of
+    the SVD route goes through ``linalg.tsvd_apply``.
 
     Spans come in trios, as the adaptive driver solves them: spans 3j,
     3j + 1 and 3j + 2 are trio j (a lone span is a trio of its own).  A
@@ -197,7 +197,7 @@ def panel_values(integrand: Integrand, spans, grid: chebyshev.ChebGrid, solver: 
     ends = {}
     live = [i for i, fi in enumerate(factors) if fi is not None] if qr else []
     if live:
-        full = linalg.full_rank(np.abs(mats.diagonal(0, 1, 2)[live])).tolist()
+        full = linalg.retained(np.abs(mats.diagonal(0, 1, 2)[live])).all(axis=1).tolist()
         # each row of the argsort is an inverse permutation: its first and
         # last entries are where pivots 1 and k sit
         pos = np.array([factors[i].jpvt for i in live]).argsort(axis=1)[:, :: k - 1]

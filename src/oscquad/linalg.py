@@ -12,9 +12,13 @@ factorization plus an apply step that takes the truncation threshold:
   minimum-norm solution of the retained rows, through LAPACK's complete
   orthogonal decomposition (``tzrzf``, ``trtrs``, ``unmrz``) if rank < k.
 
-The default threshold, the Levin panels' truncation rule, is EPS0 times
-the matrix-norm proxy (the leading R-diagonal entry or singular value), or
-the smallest normal float when that product is 0 (an all-zero matrix).
+The truncation rule, the Levin panels' device against low-frequency
+breakdown, is ``retained``: a singular value or |r_ii| is kept unless it
+is below the threshold, by default EPS0 times the leading one or, where
+that is 0 (as for a zero matrix), the smallest normal float.  A NaN is kept.
+An explicit threshold must be finite and > 0.  The rank is the length of
+the leading run of kept entries.
+
 The factorizations themselves come from LAPACK (via numpy/scipy); the
 truncation and retained-subspace logic lives here.  LAPACK routines are
 prebound at import time because these solves sit on the hot path of the
@@ -24,7 +28,7 @@ same reason ``qr_factor`` can factor in place (``overwrite_a``),
 only when read, and ``unmqr`` gets lwork 1, the least it takes for one
 right-hand side (it then runs its unblocked code, as it does for any k
 below 261 whatever lwork).  A caller with many factorizations can test
-them for full rank at once (``full_rank``) and solve those with
+them for full rank at once (``retained`` of a stack) and solve those with
 ``qr_solve``, the ``unmqr`` + ``trtrs`` sequence of ``qr_apply``'s
 full-rank case.  No routine modifies its arguments unless told to, and an
 apply whose solution overflows returns it non-finite, without a warning.
@@ -79,19 +83,31 @@ def svd(a: np.ndarray) -> SvdFactors:
     return SvdFactors(u=u, sigma=s, v=vh.conj().T)
 
 
-def tsvd_apply(factors: SvdFactors, y: np.ndarray, threshold: float | None = None):
-    """Solve using an existing SVD, truncated at ``threshold``.
+def retained(values: np.ndarray, threshold: float | None = None) -> np.ndarray:
+    """Which entries of ``values``, one row per factorization, the rule keeps."""
+    if threshold is None:
+        threshold = EPS0 * values[..., :1]
+        threshold[threshold == 0.0] = _TINY
+    elif not 0.0 < threshold < np.inf:
+        raise ValueError(f"threshold must be finite and > 0, got {threshold!r}")
+    return ~(values < threshold)
 
-    Retains the leading singular directions with sigma >= threshold (ties
-    included), by default EPS0 * sigma[0].  If none qualify the solution is
-    identically zero with rank 0.  Returns ``(x, rank_used)``.
+
+def _rank(values: np.ndarray, threshold: float | None) -> int:
+    """The length of the leading run of ``retained`` entries of one row."""
+    kept = retained(values, threshold)
+    first_dropped = int(kept.argmin())
+    return kept.size if kept.item(first_dropped) else first_dropped
+
+
+def tsvd_apply(factors: SvdFactors, y: np.ndarray, threshold: float | None = None):
+    """Solve using an existing SVD, truncated by ``retained``'s rule.
+
+    Keeps the leading singular directions the rule retains; with none the
+    solution is identically zero.  Returns ``(x, rank_used)``.
     """
     s = factors.sigma
-    if threshold is None:
-        threshold = EPS0 * s.item(0) or _TINY
-    rank = int(np.count_nonzero(s >= threshold))
-    if rank == 0:
-        return np.zeros(s.shape[0], dtype=np.complex128), 0
+    rank = _rank(s, threshold)
     with np.errstate(all="ignore"):
         coef = (factors.u[:, :rank].conj().T @ y) / s[:rank]
         return factors.v[:, :rank] @ coef, rank
@@ -127,18 +143,6 @@ def qr_factor(a: np.ndarray, overwrite_a: bool = False) -> QrFactors:
     return QrFactors(qr, tau, jpvt)
 
 
-def full_rank(rdiag: np.ndarray) -> np.ndarray:
-    """Which rows of a stack of |diag R| pass qr_apply's default full-rank test.
-
-    Row i passes when its least entry is at least the default threshold
-    computed from its first; a row with a NaN does not pass.
-    """
-    threshold = EPS0 * rdiag[:, 0]
-    # a threshold of 0 stands for _TINY, as in qr_apply, which the row
-    # fails: EPS0 * d is 0 only for d < _TINY
-    return (rdiag.min(axis=1) >= threshold) & (threshold != 0.0)
-
-
 def _q_star(factors: QrFactors, y: np.ndarray) -> np.ndarray:
     """Q* y as a k x 1 column."""
     c, _work, info = _unmqr("L", "C", factors.qr, factors.tau, y.reshape(-1, 1), 1)
@@ -161,21 +165,14 @@ def qr_solve(factors: QrFactors, y: np.ndarray) -> np.ndarray:
 def qr_apply(factors: QrFactors, y: np.ndarray, threshold: float | None = None):
     """Truncated solve from an existing pivoted QR factorization.
 
-    The numerical rank l is the length of the leading run of R-diagonal
-    entries with |r_ii| >= threshold, by default EPS0 * |r_00|.  For l < k
-    the retained rows are written [R11 R12] = [T 0] Z with Z unitary, and
-    Z* [T^-1 c_l; 0] is the minimum-norm solution of that l x k system.
+    The numerical rank l is decided from |diag R| by ``retained``'s rule.
+    For l < k the retained rows are written [R11 R12] = [T 0] Z with Z
+    unitary, and Z* [T^-1 c_l; 0] is the minimum-norm solution of that
+    l x k system.
     """
     qr = factors.qr
     k = qr.shape[0]
-    d = factors.rdiag
-    if threshold is None:
-        threshold = EPS0 * d.item(0) or _TINY
-    if d.min() >= threshold:  # full rank, the common case
-        rank = k
-    else:  # a NaN entry fails the min test but is not below the threshold
-        below = d < threshold
-        rank = k if not below.any() else int(np.argmax(below))
+    rank = _rank(factors.rdiag, threshold)
     x = np.zeros(k, dtype=np.complex128)
     if rank == 0:
         return x, 0

@@ -241,6 +241,9 @@ def _entry(id: str, params: dict) -> NamedIntegral:
     missing = [p for p in entry.params if p not in params]
     if missing:
         raise ValueError(f"{id} needs parameter(s) {missing}")
+    # I21's f = 1/sqrt(1-alpha*cos(x)) is integrable on [-pi, pi] only for |alpha| < 1
+    if not abs(params.get("alpha", 0.0)) < 1.0:
+        raise ValueError(f"{id} needs -1 < alpha < 1, got {params['alpha']}")
     return entry
 
 

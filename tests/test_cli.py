@@ -253,6 +253,8 @@ BAD_INPUTS = [
     ["sweep", "--paper-integral", "I1", "--decades=-323.5:-323", "--count", "2"],
     ["integrate", "--paper-integral", "I21", "--param", "kappa=100", "--param", "m=2",
      "--param", "alpha=0.5", "--eps", "1e-3", "--eps-scale", "sqrt-kappa"],
+    *(["integrate", "--paper-integral", "I21", "--param", "kappa=100", "--param", "m=5",
+       "--param", f"alpha={alpha}"] for alpha in ("1", "-1", "2", "-1.5")),
     ["selftest", "--filter", "nomatch"],
     ["sweep", "--paper-integral", "I4", "--decades", "305:305.1", "--count", "1"],
     ["integrate", "--paper-integral", "I1", "--param", "lambda=2", "--k", "201"],

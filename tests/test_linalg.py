@@ -192,8 +192,14 @@ def test_qr_factor_in_place_matches_the_copying_call():
     np.testing.assert_array_equal(a, m)
 
 
-def test_full_rank_is_qr_apply_default_test():
-    # the stacked test agrees with qr_apply's own default rank, NaN included
+def _leading_run(kept):
+    return kept.size if kept.all() else int(kept.argmin())
+
+
+def test_retained_is_the_rank_rule_of_qr_apply():
+    # the stacked rule, its full-rank test and its per-row leading run
+    # agree with qr_apply's default rank; a NaN on R's diagonal is kept,
+    # and the full-rank solve then gives a non-finite solution
     rng = np.random.default_rng(14)
     k = 12
     mats = [rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k)),
@@ -202,15 +208,62 @@ def test_full_rank_is_qr_apply_default_test():
     factors = [linalg.qr_factor(m) for m in mats]
     factors.append(factors[0]._replace(qr=factors[0].qr.copy()))
     factors[-1].qr[3, 3] = np.nan
-    got = linalg.full_rank(np.array([f.rdiag for f in factors]))
+    kept = linalg.retained(np.array([f.rdiag for f in factors]))
     y = np.ones(k, dtype=complex)
-    assert got.tolist() == [linalg.qr_apply(f, y)[1] == k and not np.isnan(f.rdiag).any()
-                            for f in factors]
-    assert got.tolist() == [True, False, False, False, False]
+    ranks = [linalg.qr_apply(f, y)[1] for f in factors]
+    assert [_leading_run(row) for row in kept] == ranks
+    assert kept.all(axis=1).tolist() == [r == k for r in ranks] == [
+        True, False, False, False, True]
+    for f, row in zip(factors, kept):
+        assert (linalg.retained(f.rdiag) == row).all()
+    assert not np.isfinite(linalg.qr_solve(factors[-1], y)).all()
     z = linalg.qr_solve(factors[0], y)
     x = np.zeros(k, dtype=complex)
     x[factors[0].perm] = z[:, 0]
     assert x.tobytes() == linalg.qr_apply(factors[0], y)[0].tobytes()
+
+
+@pytest.mark.parametrize("s, rank", [
+    # a tie: 3 * EPS0 is exactly the default threshold, and is kept
+    (np.r_[3.0, np.logspace(0, -15, 9), 3 * linalg.EPS0, 1.5 * linalg.EPS0], 11),
+    (np.r_[np.logspace(0, -3, 8), np.zeros(4)], 8),
+    # EPS0 * 1e-310 is 0, so the threshold is the smallest normal float
+    (np.r_[1e-310, np.full(11, 5e-311)], 0),
+])
+def test_both_solvers_keep_the_same_rank_of_a_diagonal_system(s, rank):
+    a = np.diag(s) + 0j
+    y = np.arange(1.0, 13.0) + 0j
+    qr, sv = linalg.qr_factor(a), linalg.svd(a)
+    assert qr.rdiag.tolist() == sv.sigma.tolist() == s.tolist()
+    (xq, rq), (xs, rs) = linalg.qr_apply(qr, y), linalg.tsvd_apply(sv, y)
+    assert rq == rs == _leading_run(linalg.retained(s)) == rank
+    np.testing.assert_allclose(xq, xs, rtol=1e-15, atol=0)
+    np.testing.assert_array_equal(xq[rank:], 0)
+
+
+def test_rank_is_the_leading_run_of_kept_entries():
+    # R = diag(d) with a dropped entry before kept ones: Q = I (tau = 0)
+    k = 12
+    d = np.ones(k)
+    d[3] = 1e-20
+    factors = linalg.QrFactors(np.diag(d) + 0j, np.zeros(k, dtype=complex),
+                               np.arange(1, k + 1, dtype=np.int32))
+    x, rank = linalg.qr_apply(factors, np.arange(1.0, k + 1) + 0j)
+    assert rank == 3
+    assert x.tolist() == [1, 2, 3] + [0] * 9
+
+
+@pytest.mark.parametrize("threshold", [0.0, -1.0, np.nan, np.inf])
+def test_threshold_must_be_finite_and_positive(threshold):
+    k = 12
+    y = np.ones(k, dtype=complex)
+    for a in (np.zeros((k, k), dtype=complex), np.eye(k) + 0j):
+        with pytest.raises(ValueError, match="finite and > 0"):
+            linalg.qr_apply(linalg.qr_factor(a), y, threshold)
+        with pytest.raises(ValueError, match="finite and > 0"):
+            linalg.tsvd_apply(linalg.svd(a), y, threshold)
+    with pytest.raises(ValueError, match="finite and > 0"):
+        linalg.retained(np.ones((2, k)), threshold)
 
 
 def test_default_threshold_is_eps0_times_the_norm_proxy():

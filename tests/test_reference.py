@@ -82,6 +82,23 @@ def test_unknown_parameter_rejected_on_every_route():
             assert str(exc.value) == message, route.__name__
 
 
+def test_i21_needs_alpha_inside_minus_one_one(monkeypatch):
+    # refused before any work: neither integrator is reached
+    for name in ("adaptive_integrate", "adaptive_gauss"):
+        monkeypatch.setattr(reference, name, None)
+    for alpha in (1.0, -1.0, 2.0, -1.5, 1e300):
+        params = {"kappa": 100.0, "m": 5.0, "alpha": alpha}
+        for route in (integrand_for, evaluate_levin, evaluate_oracle,
+                      reference.oracle_integrand):
+            with pytest.raises(ValueError) as exc:
+                route("I21", params)
+            assert str(exc.value) == f"I21 needs -1 < alpha < 1, got {alpha}", route.__name__
+    monkeypatch.undo()
+    params = {"kappa": 100.0, "m": 5.0, "alpha": -0.999}
+    assert len(integrand_for("I21", params)[0]) == 2
+    assert reference.oracle_integrand("I21", params)[1] == (-math.pi, math.pi)
+
+
 @pytest.mark.parametrize(
     "id", [id for id, entry in reference.CATALOG.items() if entry.closed_form is not None])
 def test_closed_forms_need_positive_lambda(id):
