@@ -15,10 +15,13 @@ leftmost intervals the driver is certain to pop next (the halves of
 rejected intervals), one pass of the route's evaluator (a panel_values
 call, or one Gauss call of the integrand) per breadth round, and later
 pops take their trio from the table (``panel_trio`` on the Levin route).
-Each trio keeps the value bits of a pass of its own.  The table never
-holds more solved trios than the run has popped, so memory is bounded by
-the run's pops, no longer by the subdivision depth; the samples of a pass are counted in ``fevals`` when
-taken, so a run that stops counts those of trios solved but never popped.
+A pass returns panels, three per interval, and fails a panel alone; only
+the table groups them into trios, and it fails the trio that holds a
+failed panel.  Each trio keeps the value bits of a pass of its own.  The
+table never holds more solved trios than the run has popped, so memory
+is bounded by the run's pops, no longer by the subdivision depth; the
+samples of a pass are counted in ``fevals`` when taken, so a run that
+stops counts those of trios solved but never popped.
 
 Safety rails absent from the basic scheme, both fixed and reported
 through ``QuadResult.status``: a budget of MAX_INTERVALS processed
@@ -160,13 +163,14 @@ def _run_worklist(trio, a: float, b: float, eps: float) -> QuadResult:
 class _SolveAhead:
     """A run's trios solved before the driver pops them, on either route.
 
-    ``solve(intervals)`` is the route's pass: the trio (v0, vl, vr) or the
-    PanelError of each (a0, b0), and the samples taken.  ``pending`` holds,
+    ``solve(intervals)`` is the route's pass: the panel values of each
+    (a0, b0), whole, left half and right half, one after another, each a
+    value or a PanelError, and the samples taken.  ``pending`` holds,
     leftmost last, the unsolved intervals the LIFO driver is certain to pop
     unless the run stops: the halves of a rejected interval (never a failed
     one) when both pass the width floor of [a, b].  ``solved`` maps an
-    interval to its trio or PanelError.  A pass solves ``per_pass`` trios
-    at most.
+    interval to its trio (v0, vl, vr), or to the first PanelError of its
+    three panels.  A pass solves ``per_pass`` trios at most.
     """
 
     def __init__(self, solve, a: float, b: float, eps: float, per_pass: int):
@@ -200,16 +204,21 @@ class _SolveAhead:
                 batch = pending[-n:]
                 del pending[-n:]
                 room -= n
-                trios, ne = self.solve(batch)
+                values, ne = self.solve(batch)
                 nevals += ne
+                trios = zip(values[::3], values[1::3], values[2::3])
                 # right to left, so the halves keep pending leftmost last
                 for (lo, hi), trio in zip(batch, trios):
-                    solved[lo, hi] = trio
-                    mid = 0.5 * (lo + hi)
-                    if (not isinstance(trio, PanelError)
-                            and not accepted_pair_update(*trio, self.eps)
-                            and mid - lo >= self.floor and hi - mid >= self.floor):
-                        pending += ((mid, hi), (lo, mid))
+                    for v in trio:
+                        if isinstance(v, PanelError):
+                            solved[lo, hi] = v
+                            break
+                    else:
+                        solved[lo, hi] = trio
+                        mid = 0.5 * (lo + hi)
+                        if (not accepted_pair_update(*trio, self.eps)
+                                and mid - lo >= self.floor and hi - mid >= self.floor):
+                            pending += ((mid, hi), (lo, mid))
             out = solved.pop((a0, b0))
         if isinstance(out, PanelError):
             raise PanelError(str(out), nevals)
@@ -230,14 +239,12 @@ def adaptive_integrate(integrand: Integrand, a: float, b: float,
     grid = chebyshev.grid(config.k)
 
     def solve(intervals):
-        # one panel_values pass; a failed trio's spans all hold its PanelError
         spans = []
         for lo, hi in intervals:
             mid = 0.5 * (lo + hi)
             spans += ((lo, hi), (lo, mid), (mid, hi))
         values, _, nevals = panel_values(integrand, spans, grid, config.solver)
-        return [v0 if isinstance(v0, PanelError) else (v0, vl, vr)
-                for v0, vl, vr in zip(values[::3], values[1::3], values[2::3])], nevals
+        return values, nevals
 
     ahead = _SolveAhead(solve, a, b, config.eps, max(1, PASS_ENTRIES // (3 * config.k ** 2)))
     return _run_worklist(lambda *t: panel_trio(ahead, *t), a, b, config.eps)

@@ -26,17 +26,15 @@ for complex f a second apply against conj(f) gives E(-g) = conj(E_conj(g)),
 so cos -> (E(g) + E(-g))/2 and sin -> (E(g) - E(-g))/(2i).
 
 ``panel_values`` evaluates many panels (spans) as one stacked operation,
-for ``levin_panel`` or for a pass of the solve-ahead table that the
-adaptive driver's per-interval call, ``adaptive.panel_trio``, reads.
-Sampling, g', the stack of collocation matrices, the endpoint phases and,
-on the QR route, every span's rank test and the place of p(a) and p(b) in
-its pivoted solution run once per pass.  Per span run only the
-factorization, the solve (LAPACK alone for a full-rank QR span) and the
-endpoint product, and a failed span fails only its trio.  The product
-stays per span, in Python ``complex``: numpy's array complex multiply
-rounds unlike its scalar one, while Python's complex multiply rounds like
-the scalar one, so each value keeps the bits of a plain per-span
-evaluation.
+for ``levin_panel`` or for a pass of the adaptive driver's solve-ahead
+table.  Sampling, g', the stack of collocation matrices, the endpoint
+phases and, on the QR route, every span's rank test and the place of p(a)
+and p(b) in its pivoted solution run once per pass.  Per span run only
+the factorization, the solve (LAPACK alone for a full-rank QR span) and
+the endpoint product, and a failed span fails alone.  The product stays
+per span, in Python ``complex``: numpy's array complex multiply rounds
+unlike its scalar one, while Python's complex multiply rounds like the
+scalar one, so each value keeps the bits of a plain per-span evaluation.
 """
 
 from __future__ import annotations
@@ -119,19 +117,13 @@ def panel_values(integrand: Integrand, spans, grid: chebyshev.ChebGrid, solver: 
     rank-deficient rest go through ``linalg.qr_apply``, as every span of
     the SVD route goes through ``linalg.tsvd_apply``.
 
-    Spans come in trios, as the adaptive driver solves them: spans 3j,
-    3j + 1 and 3j + 2 are trio j (a lone span is a trio of its own).  A
-    sample still non-finite after the nudge, a collocation matrix that
-    overflows (in g' or D/h, before any span is factored, whatever the
-    solver), a LinalgError or a non-finite estimate fails the span's trio:
-    each of its spans gets that PanelError as its value, its later spans
-    are not solved, and other trios keep theirs.  Since all spans are
-    factored before any is applied, the later spans of a trio whose
-    estimate fails may already be factored, but are not applied, and a
-    factorization's LinalgError fails its trio before any estimate of that
-    trio is checked.  The second apply against conj(f) of a cos or sin
-    kernel is decided per span too, so no value bit depends on which spans
-    share the pass.  Returns (values, ranks, nevals); a failed span's rank
+    A sample still non-finite after the nudge, a collocation matrix that
+    overflows (in g' or D/h, whatever the solver), a LinalgError or a
+    non-finite estimate fails its span alone: the span's value is that
+    PanelError, it is solved no further, and every other span keeps its
+    estimate.  The second apply against conj(f) of a cos or sin kernel is
+    decided per span too, so no value bit depends on which spans share the
+    pass.  Returns (values, ranks, nevals); a failed span's rank
     is None, and nevals, the ``nevals`` of each PanelError too, counts
     every point the pass sampled.
     """
@@ -147,7 +139,7 @@ def panel_values(integrand: Integrand, spans, grid: chebyshev.ChebGrid, solver: 
     xs += (lo + half)[:, None]
     xs[:, :: k - 1] = spans
     xs = xs.ravel()
-    failed = {}  # trio -> why its spans have no estimate
+    failed = {}  # span -> why it has no estimate
     # f, g, g', D/h and the phases may overflow or be undefined; every
     # non-finite result is caught, so numpy's warnings are silenced once.
     with np.errstate(all="ignore"):
@@ -163,10 +155,7 @@ def panel_values(integrand: Integrand, spans, grid: chebyshev.ChebGrid, solver: 
             gs[idx] = np.asarray(integrand.g(moved), dtype=np.float64)
             nevals += idx.shape[0]
             for i in span[~(np.isfinite(fs[idx]) & np.isfinite(gs[idx]))].tolist():
-                if i // 3 not in failed:
-                    failed[i // 3] = f"non-finite sample in {spans[i:i + 1].tolist()} after nudge"
-            if len(failed) == -(-n // 3):  # every trio failed: nothing to solve
-                return [PanelError(failed[i // 3], nevals) for i in range(n)], [None] * n, nevals
+                failed[i] = f"non-finite sample in {spans[i:i + 1].tolist()} after nudge"
         gs = gs.reshape(n, k, 1)
         # rounds like grid.diff @ gs[i]; gs @ grid.diff.T and einsum do not
         gprime = np.matmul(grid.diff, gs)[:, :, 0] / half[:, None]
@@ -180,17 +169,17 @@ def panel_values(integrand: Integrand, spans, grid: chebyshev.ChebGrid, solver: 
     if not np.isfinite(at).all():
         for i in np.nonzero(~np.isfinite(at).all(axis=(1, 2)))[0].tolist():
             part = "g'" if not np.isfinite(gprime[i]).all() else "D/h"
-            failed.setdefault(i // 3, f"non-finite {part} in {spans[i:i + 1].tolist()}"
-                                      ": the collocation matrix overflows")
+            failed.setdefault(i, f"non-finite {part} in {spans[i:i + 1].tolist()}"
+                                 ": the collocation matrix overflows")
     mats = at.transpose(0, 2, 1)
     factors = [None] * n
     for i in range(n):
-        if i // 3 not in failed:
+        if i not in failed:
             # overwrite_a goes by position, which wrappers taking *args pass on
             try:
                 factors[i] = linalg.qr_factor(mats[i], True) if qr else linalg.svd(mats[i])
             except linalg.LinalgError as exc:
-                failed[i // 3] = str(exc)
+                failed[i] = str(exc)
     # span -> where p(a) and p(b) sit in its pivoted solution, for every
     # QR-factored span that passes the default full-rank test; the
     # diagonals of those spans' mats are their R factors' (real) diagonals
@@ -217,7 +206,7 @@ def panel_values(integrand: Integrand, spans, grid: chebyshev.ChebGrid, solver: 
     conj = fs.imag.any(axis=1).tolist() if kernel != "exp" else [False] * n
     values, ranks = [None] * n, [None] * n
     for i, (fi, (ea, eb), want_conj) in enumerate(zip(fs, phases, conj)):
-        if i // 3 in failed:
+        if i in failed:
             continue
         try:
             # Python complex products round like numpy's scalar ones (module doc)
@@ -231,13 +220,12 @@ def panel_values(integrand: Integrand, spans, grid: chebyshev.ChebGrid, solver: 
             elif kernel != "exp":
                 value = complex(value.real if kernel == "cos" else value.imag)
             if not cmath.isfinite(value):
-                failed[i // 3] = f"non-finite panel estimate on {spans[i].tolist()}"
+                failed[i] = f"non-finite panel estimate on {spans[i].tolist()}"
             values[i] = value
         except linalg.LinalgError as exc:
-            failed[i // 3] = str(exc)
-    for i in range(n):
-        if i // 3 in failed:
-            values[i], ranks[i] = PanelError(failed[i // 3], nevals), None
+            failed[i] = str(exc)
+    for i, why in failed.items():
+        values[i], ranks[i] = PanelError(why, nevals), None
     return values, ranks, nevals
 
 

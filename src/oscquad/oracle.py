@@ -5,8 +5,9 @@ Cross-validation for the collocation-based integrator.  Panels are plain
 whole-vs-halves comparison used by the main driver, with the unsplit
 panel value accumulated on acceptance.  Trios are sampled ahead of the
 driver by the solve-ahead table the Levin route uses: one call of ``fn``
-samples the trios of a breadth round, and one (3m, 30) x 30 product sums
-their panels, each to the bits of a trio sampled on its own.  Nothing
+samples the three panels of each interval of a breadth round, and one
+(3m, 30) x 30 product sums them, each to the bits of a trio sampled on
+its own; only the table groups the panels into trios.  Nothing
 numeric is shared with the Levin panels beyond the worklist logic and
 that table, so agreement between the two is meaningful evidence of
 correctness.
@@ -90,11 +91,12 @@ def adaptive_gauss(fn: Callable[[np.ndarray], np.ndarray], a: float, b: float,
     Each call of ``fn`` samples 90 points per trio for the trios of a
     breadth round of the solve-ahead table (``adaptive._SolveAhead``), at
     most PASS_POINTS points; each panel's points are mid + half * node, as
-    for a trio sampled on its own, and a non-finite sample or estimate
-    fails only its own trio.  ``fevals`` counts every sampled point: 90
-    per processed interval in a converged run (22.80M a pass over the
-    benchmark's reference table at seed 1), and in a run that stops, also
-    the trios sampled ahead and never popped.
+    for a trio sampled on its own.  A non-finite sample or estimate fails
+    its panel alone, and the table fails the panel's trio.  ``fevals``
+    counts every sampled point: 90 per processed interval in a converged
+    run (22.80M a pass over the benchmark's reference table at seed 1),
+    and in a run that stops, also the trios sampled ahead and never
+    popped.
     """
     check_domain(a, b)
     if not (tol > 0.0 and np.isfinite(tol)):
@@ -114,13 +116,12 @@ def adaptive_gauss(fn: Callable[[np.ndarray], np.ndarray], a: float, b: float,
         ys = np.asarray(fn(xs.ravel()), dtype=np.complex128)
         # the weights are positive, so a non-finite sample makes its sum non-finite
         values = halves * (ys.reshape(-1, n) @ weights)
-        finite = np.isfinite(values).reshape(-1, 3).all(axis=1).tolist()
-        values = values.tolist()
-        trios = [(v0, vl, vr) if ok else
-                 PanelError(f"non-finite sample or estimate in [{a0}, {b0}]", 3 * n)
-                 for v0, vl, vr, ok, (a0, b0)
-                 in zip(values[::3], values[1::3], values[2::3], finite, intervals)]
-        return trios, 3 * n * len(intervals)
+        bad = np.nonzero(~np.isfinite(values))[0].tolist()
+        values, nevals = values.tolist(), xs.size
+        for i in bad:
+            values[i] = PanelError("non-finite sample or estimate on the panel of"
+                                   f" mid {mids[i]} and half-width {halves[i]}", nevals)
+        return values, nevals
 
     ahead = _SolveAhead(solve, a, b, tol, max(1, PASS_POINTS // (3 * n)))
     # fn or a weighted sum may overflow or be undefined; the check above

@@ -216,8 +216,9 @@ def one_trio_per_call(integrand, a, b):
     def trio(a0, c0, b0):
         values, _, nevals = panel_values(integrand, ((a0, b0), (a0, c0), (c0, b0)),
                                          grid, "qr")
-        if isinstance(values[0], PanelError):
-            raise values[0]
+        for v in values:
+            if isinstance(v, PanelError):
+                raise v
         return (*values, nevals)
 
     return adaptive._run_worklist(trio, a, b, AdaptiveConfig().eps)

@@ -240,34 +240,39 @@ def _bad_on_region(x):
 @pytest.mark.parametrize("solver", ("qr", "svd"))
 @pytest.mark.parametrize("f, g, why", [
     (lambda x: np.where(_bad_on_region(x), np.nan, 1.0), lambda x: 40.0 * x,
-     "non-finite sample in [[0.25, "),
+     "non-finite sample in [[{}, {}]] after nudge"),
     # g overflows to inf on the region, endpoint phases included
     (const_one, lambda x: 40.0 * x + np.exp(np.where(_bad_on_region(x), 1000.0, 0.0)),
-     "non-finite sample in [[0.25, "),
-    # finite samples and matrices, but the estimate overflows: the trio's
-    # later spans are factored before its first one fails, and not applied
+     "non-finite sample in [[{}, {}]] after nudge"),
+    # finite samples and matrices, but the estimate overflows
     (lambda x: np.where(_bad_on_region(x), 1e308, 1.0), lambda x: 40.0 * x,
-     "non-finite panel estimate on [0.25, 0.5]"),
+     "non-finite panel estimate on [{}, {}]"),
 ], ids=("nan-f", "inf-g", "overflowing-estimate"))
-def test_failed_trio_leaves_the_other_trios_of_its_pass(f, g, why, solver):
+def test_failed_span_leaves_every_other_span_of_its_pass(f, g, why, solver):
     integrand = Integrand(f=f, g=g)
     grid = chebyshev.grid(12)
-    bad = ((0.25, 0.5), (0.25, 0.375), (0.375, 0.5))
-    good = ((0.0, 0.25), (0.0, 0.125), (0.125, 0.25))
+    # a bad span between good ones in one trio slot, an all-good trio, an all-bad one
+    spans = ((0.0, 0.25), (0.25, 0.5), (0.5, 0.75),
+             (0.5, 0.75), (0.5, 0.625), (0.625, 0.75),
+             (0.25, 0.5), (0.25, 0.375), (0.375, 0.5))
+    bad = (1, 6, 7, 8)
+    kept = [i for i in range(len(spans)) if i not in bad]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        values, ranks, nevals = panel_values(integrand, bad + good + bad, grid, solver)
-        alone, alone_ranks, alone_nevals = panel_values(integrand, good, grid, solver)
-    for v in values[:3] + values[6:]:
-        assert isinstance(v, PanelError) and v.nevals == nevals
-        assert str(v).startswith(why)
-    assert ranks[:3] + ranks[6:] == [None] * 6 and ranks[3:6] == alone_ranks
-    assert [(v.real.hex(), v.imag.hex()) for v in values[3:6]] == \
+        values, ranks, nevals = panel_values(integrand, spans, grid, solver)
+        alone, alone_ranks, alone_nevals = panel_values(
+            integrand, [spans[i] for i in kept], grid, solver)
+    for i in bad:
+        assert isinstance(values[i], PanelError) and values[i].nevals == nevals
+        assert str(values[i]) == why.format(*spans[i]) and ranks[i] is None
+    assert [ranks[i] for i in kept] == alone_ranks
+    assert [(values[i].real.hex(), values[i].imag.hex()) for i in kept] == \
         [(v.real.hex(), v.imag.hex()) for v in alone]
+    assert alone_nevals == 12 * len(kept)
     if why.startswith("non-finite sample"):
-        assert nevals > 3 * alone_nevals  # the bad trios' nudges count too
+        assert nevals > 12 * len(spans)  # the bad spans' nudges count too
     else:
-        assert nevals == 3 * alone_nevals
+        assert nevals == 12 * len(spans)
 
 
 def test_solver_agreement_quadratic_phase_sweep():

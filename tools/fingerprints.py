@@ -112,6 +112,9 @@ CLI_RUNS = [
     # phase that oscillates) and at a panel failure (invalid right of 0.3).
     ["integrate", "--f", "1/sqrt(x)", "--g", "100*x", "--a", "0", "--b", "1", "--no-timing"],
     ["integrate", "--f", "sqrt(0.3-x)", "--g", "x", "--a", "0", "--b", "1", "--no-timing"],
+    # Estimates that overflow, in the same passes as good spans.
+    *(["integrate", "--f", "1e308*max(x-0.5,0)", "--g", "40*x", "--a", "0", "--b", "1",
+       "--solver", solver, "--no-timing"] for solver in ("qr", "svd")),
     # The paper's low-frequency case: every panel keeps rank 11 of 12 on
     # both solvers, so a converged run goes through each truncated apply.
     *(["integrate", "--f", "1+x^2", "--g", "1e-8*x^2", "--a", "-1", "--b", "1",
