@@ -1,8 +1,8 @@
 """Adaptive bisection driver around the single-panel estimates.
 
-The driver keeps a worklist of intervals, initially just [a, b].  For each
-popped interval it computes the panel estimate for the whole interval and
-for its two halves; if the whole-interval estimate agrees with the sum of
+The driver keeps a worklist of intervals, initially just [a, b].  Each
+popped interval is judged on the panel estimates of the whole interval and
+of its two halves: if the whole-interval estimate agrees with the sum of
 the half estimates to within the absolute tolerance (or, for values so
 large that the tolerance is below their rounding, to within 16 machine
 epsilons of their magnitude), the *unsplit* estimate is added to the
@@ -13,24 +13,26 @@ Both routes solve trios ahead of the driver, in a run-local table: a
 popped interval whose trio is not solved yet is solved together with the
 leftmost intervals the driver is certain to pop next (the halves of
 rejected intervals), one pass of the route's evaluator (a panel_values
-call, or one Gauss call of the integrand) per breadth round, and later
-pops take their trio from the table (``panel_trio`` on the Levin route).
-A pass returns panels, three per interval, and fails a panel alone; only
-the table groups them into trios, and it fails the trio that holds a
-failed panel.  Each trio keeps the value bits of a pass of its own.  The
-table never holds more solved trios than the run has popped, so memory
-is bounded by the run's pops, no longer by the subdivision depth; the
-samples of a pass are counted in ``fevals`` when taken, so a run that
-stops counts those of trios solved but never popped.
+call, or one Gauss call of the integrand) per breadth round.  A pass
+returns panels, three per interval, and fails a panel alone; only the
+table groups them into trios, fails the trio that holds a failed panel
+and judges each trio, once.  A pop takes the whole panel's value and the
+decision from the table (``panel_trio`` on the Levin route), so the
+driver applies only the rails and the sum.  Each trio keeps the value
+bits of a pass of its own.  The table never holds more solved trios than
+the run has popped, so memory is bounded by the run's pops, not by the
+subdivision depth; the samples of a pass count in ``fevals`` when taken,
+so a run that stops counts those of trios solved but never popped.
 
 Safety rails absent from the basic scheme, both fixed and reported
 through ``QuadResult.status``: a budget of MAX_INTERVALS processed
 intervals per run ('budget_exhausted') and a width floor, an interval
 narrower than MIN_WIDTH_FACTOR * max(|a|, |b|, 1) ('width_floor').  A
-panel that cannot be estimated (non-finite samples) is split; one that
-still fails at the floor stops the run ('panel_failure'), as does an
-accepted value that would overflow the sum ('overflow').  The adaptive
-Gauss-Legendre reference runs through the same driver and rails.
+panel that cannot be estimated (non-finite samples) is split; a failed
+interval whose halves would fall below the floor stops the run
+('panel_failure'), as does an accepted value that would overflow the sum
+('overflow').  The adaptive Gauss-Legendre reference runs through the
+same driver and rails.
 """
 
 from __future__ import annotations
@@ -111,15 +113,17 @@ def accepted_pair_update(val0: complex, val_l: complex, val_r: complex,
     return diff < eps or diff < ROUNDOFF * max(abs(val0), abs(val_l) + abs(val_r))
 
 
-def _run_worklist(trio, a: float, b: float, eps: float) -> QuadResult:
-    """Generic whole-vs-halves driver over a panel-trio evaluator.
+def _run_worklist(trio, a: float, b: float) -> QuadResult:
+    """Generic bisection driver over an interval evaluator that judges.
 
-    ``trio(a0, c0, b0)`` returns (val0, val_l, val_r, nevals) and may raise
-    PanelError; a failing interval still counts its three panels and the
-    error's ``nevals``, and is split until the width floor, at which point
-    the run stops with status 'panel_failure'; an accepted value that would
-    overflow the sum stops it with 'overflow'.  The budget and the floor
-    are read from MAX_INTERVALS and MIN_WIDTH_FACTOR once per run.
+    ``trio(a0, c0, b0)`` returns (v0, accepted, nevals): the whole
+    interval's panel value, or None if one of its panels failed, whether
+    the route accepts v0, and the samples taken.  Every processed interval
+    counts three panels and its samples.  An accepted value is summed
+    unless it would overflow the sum ('overflow'); any other interval is
+    split, and a failed one whose halves would fall below the width floor
+    stops the run ('panel_failure').  The budget and the floor are read
+    from MAX_INTERVALS and MIN_WIDTH_FACTOR once per run.
     """
     max_intervals = MAX_INTERVALS
     floor = MIN_WIDTH_FACTOR * max(abs(a), abs(b), 1.0)
@@ -140,28 +144,24 @@ def _run_worklist(trio, a: float, b: float, eps: float) -> QuadResult:
             break
         c0 = 0.5 * (a0 + b0)
         panels += 3
-        try:
-            v0, vl, vr, ne = trio(a0, c0, b0)
-        except PanelError as exc:
-            fevals += exc.nevals
-            if 0.5 * (b0 - a0) < floor:
-                status = "panel_failure"
+        v0, accepted, ne = trio(a0, c0, b0)
+        fevals += ne
+        if accepted:
+            if not cmath.isfinite(val + v0):
+                status = "overflow"
                 break
-        else:
-            fevals += ne
-            if accepted_pair_update(v0, vl, vr, eps):
-                if not cmath.isfinite(val + v0):
-                    status = "overflow"
-                    break
-                val += v0
-                continue
+            val += v0
+            continue
+        if v0 is None and (c0 - a0 < floor or b0 - c0 < floor):
+            status = "panel_failure"
+            break
         stack.append((c0, b0))
         stack.append((a0, c0))
     return QuadResult(value=val, intervals_used=panels, fevals=fevals, status=status)
 
 
 class _SolveAhead:
-    """A run's trios solved before the driver pops them, on either route.
+    """A run's trios solved and judged before the driver pops them, on either route.
 
     ``solve(intervals)`` is the route's pass: the panel values of each
     (a0, b0), whole, left half and right half, one after another, each a
@@ -169,8 +169,9 @@ class _SolveAhead:
     leftmost last, the unsolved intervals the LIFO driver is certain to pop
     unless the run stops: the halves of a rejected interval (never a failed
     one) when both pass the width floor of [a, b].  ``solved`` maps an
-    interval to its trio (v0, vl, vr), or to the first PanelError of its
-    three panels.  A pass solves ``per_pass`` trios at most.
+    interval to (v0, accepted), the whole panel's value and the
+    whole-vs-halves decision on its trio, or to (None, False) if one of its
+    three panels is a PanelError.  A pass solves ``per_pass`` trios at most.
     """
 
     def __init__(self, solve, a: float, b: float, eps: float, per_pass: int):
@@ -183,8 +184,8 @@ class _SolveAhead:
         self.popped = 0
 
     def trio(self, a0, c0, b0):
-        """(v0, vl, vr, nevals) of [a0, b0], which the driver pops now, with
-        the samples this call took, or raises the trio's PanelError.
+        """(v0 or None, accepted, nevals) of [a0, b0], which the driver pops
+        now, with the samples this call took.
 
         An unsolved [a0, b0] is the leftmost interval the driver holds, so
         it is ``pending[-1]`` if pending at all.  It is solved with the leftmost
@@ -211,17 +212,15 @@ class _SolveAhead:
                 for (lo, hi), trio in zip(batch, trios):
                     for v in trio:
                         if isinstance(v, PanelError):
-                            solved[lo, hi] = v
+                            solved[lo, hi] = (None, False)
                             break
                     else:
-                        solved[lo, hi] = trio
+                        accepted = accepted_pair_update(*trio, self.eps)
+                        solved[lo, hi] = (trio[0], accepted)
                         mid = 0.5 * (lo + hi)
-                        if (not accepted_pair_update(*trio, self.eps)
-                                and mid - lo >= self.floor and hi - mid >= self.floor):
+                        if not accepted and mid - lo >= self.floor and hi - mid >= self.floor:
                             pending += ((mid, hi), (lo, mid))
             out = solved.pop((a0, b0))
-        if isinstance(out, PanelError):
-            raise PanelError(str(out), nevals)
         return (*out, nevals)
 
 
@@ -247,4 +246,4 @@ def adaptive_integrate(integrand: Integrand, a: float, b: float,
         return values, nevals
 
     ahead = _SolveAhead(solve, a, b, config.eps, max(1, PASS_ENTRIES // (3 * config.k ** 2)))
-    return _run_worklist(lambda *t: panel_trio(ahead, *t), a, b, config.eps)
+    return _run_worklist(lambda *t: panel_trio(ahead, *t), a, b)

@@ -1,16 +1,15 @@
 """Independent reference integrator: adaptive Gauss-Legendre quadrature.
 
 Cross-validation for the collocation-based integrator.  Panels are plain
-30-point Gauss-Legendre estimates and the adaptive acceptance is the same
-whole-vs-halves comparison used by the main driver, with the unsplit
-panel value accumulated on acceptance.  Trios are sampled ahead of the
-driver by the solve-ahead table the Levin route uses: one call of ``fn``
-samples the three panels of each interval of a breadth round, and one
-(3m, 30) x 30 product sums them, each to the bits of a trio sampled on
-its own; only the table groups the panels into trios.  Nothing
-numeric is shared with the Levin panels beyond the worklist logic and
-that table, so agreement between the two is meaningful evidence of
-correctness.
+30-point Gauss-Legendre estimates, and each interval is judged by the
+whole-vs-halves comparison of the Levin route, in the same solve-ahead
+table, with the unsplit panel value accumulated on acceptance.  One call
+of ``fn`` samples the three panels of each interval of a breadth round,
+and one (3m, 30) x 30 product sums them, each to the bits of a trio
+sampled on its own; only the table groups the panels into trios and
+judges them.  Nothing numeric is shared with the Levin panels beyond the
+worklist logic and that table, so agreement between the two is
+meaningful evidence of correctness.
 
 Being oblivious to the oscillator, the cost grows linearly with frequency;
 callers should keep it away from very high frequencies (the benchmark
@@ -127,4 +126,4 @@ def adaptive_gauss(fn: Callable[[np.ndarray], np.ndarray], a: float, b: float,
     # fn or a weighted sum may overflow or be undefined; the check above
     # catches every non-finite result, so numpy's warnings are silenced once
     with np.errstate(all="ignore"):
-        return _run_worklist(ahead.trio, a, b, tol)
+        return _run_worklist(ahead.trio, a, b)

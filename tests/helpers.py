@@ -39,3 +39,25 @@ def cheb_t(n, x):
     """Chebyshev polynomial T_n by the trig definition (test oracle)."""
     x = np.asarray(x, dtype=float)
     return np.cos(n * np.arccos(np.clip(x, -1.0, 1.0)))
+
+
+def panel_bits(v):
+    """A panel value's bits, or the name of its type (PanelError, NoneType)."""
+    if isinstance(v, complex):
+        return v.real.hex(), v.imag.hex()
+    return type(v).__name__
+
+
+def record_passes(solve, panels):
+    """A solve-ahead pass ``solve(intervals) -> (values, nevals)`` that also
+    records the bits of each interval's three panels in ``panels``; an
+    interval solved twice in one run fails the test."""
+
+    def recorded(intervals):
+        values, nevals = solve(intervals)
+        for j, (lo, hi) in enumerate(intervals):
+            assert (lo, hi) not in panels, (lo, hi)
+            panels[lo, hi] = [panel_bits(v) for v in values[3 * j:3 * j + 3]]
+        return values, nevals
+
+    return recorded

@@ -1,3 +1,4 @@
+import cmath
 import math
 import warnings
 
@@ -6,9 +7,10 @@ import pytest
 
 from oscquad import (AdaptiveConfig, Integrand, PanelError, adaptive, adaptive_gauss,
                      adaptive_integrate, chebyshev, linalg)
-from oscquad.adaptive import accepted_pair_update
+from oscquad.adaptive import QuadResult, accepted_pair_update
 from oscquad.levin import panel_values
 from oscquad.reference import integrand_for
+from helpers import panel_bits, record_passes
 
 
 def test_accept_exact_split():
@@ -159,6 +161,101 @@ def test_overflowing_sum_is_overflow():
     assert res.value == 1.5e308
 
 
+def _scripted_run(steps, a=0.0, b=1.0):
+    """_run_worklist over a step that reads (v0, accepted, nevals) from
+    ``steps`` by (a0, b0), with no solver; returns the result and the
+    intervals the step was called on, in order."""
+    calls = []
+
+    def step(a0, c0, b0):
+        assert c0 == 0.5 * (a0 + b0)
+        calls.append((a0, b0))
+        return steps[a0, b0]
+
+    return adaptive._run_worklist(step, a, b), calls
+
+
+def test_worklist_splits_left_first_and_sums_left_to_right():
+    # [0, 1] is rejected and its left half failed above the floor: both are
+    # split, left half first.  1 + 1e-16 + 1e-16 is 1.0 summed left to
+    # right, and 1.0000000000000002 summed right to left
+    res, calls = _scripted_run({
+        (0.0, 1.0): (5.0 + 0j, False, 1),
+        (0.0, 0.5): (None, False, 2),
+        (0.0, 0.25): (1.0 + 0j, True, 4),
+        (0.25, 0.5): (1e-16 + 0j, True, 8),
+        (0.5, 1.0): (1e-16 + 0j, True, 16),
+    })
+    assert calls == [(0.0, 1.0), (0.0, 0.5), (0.0, 0.25), (0.25, 0.5), (0.5, 1.0)]
+    assert res == QuadResult(value=1.0 + 0j, intervals_used=15, fevals=31,
+                             status="converged")
+
+
+def test_worklist_stops_a_failed_interval_whose_halves_pass_no_floor(monkeypatch):
+    # floor 0.3: [0, 1] fails and splits, [0.5, 1] fails with halves of 0.25
+    monkeypatch.setattr(adaptive, "MIN_WIDTH_FACTOR", 0.3)
+    res, calls = _scripted_run({
+        (0.0, 1.0): (None, False, 1),
+        (0.0, 0.5): (0.25 + 0j, True, 2),
+        (0.5, 1.0): (None, False, 4),
+    })
+    assert calls == [(0.0, 1.0), (0.0, 0.5), (0.5, 1.0)]
+    assert res == QuadResult(value=0.25 + 0j, intervals_used=9, fevals=7,
+                             status="panel_failure")
+
+
+def test_worklist_tests_the_rounded_halves_against_the_floor(monkeypatch):
+    # the computed half-width (b0 - a0) / 2 of this interval passes the
+    # floor, its rounded left half c0 - a0 does not: a failure stops here
+    a0, b0 = 4.808190853639753, 4.808190853639799
+    c0 = 0.5 * (a0 + b0)
+    factor = 0.5 * (c0 - a0 + 0.5 * (b0 - a0)) / b0
+    assert c0 - a0 < factor * b0 < 0.5 * (b0 - a0)
+    monkeypatch.setattr(adaptive, "MIN_WIDTH_FACTOR", factor)
+    res, calls = _scripted_run({(a0, b0): (None, False, 1)}, a0, b0)
+    assert calls == [(a0, b0)]
+    assert res == QuadResult(value=0j, intervals_used=3, fevals=1, status="panel_failure")
+
+
+def test_worklist_keeps_the_finite_sum_on_overflow():
+    res, _ = _scripted_run({
+        (0.0, 1.0): (None, False, 1),
+        (0.0, 0.5): (1e308 + 0j, True, 1),
+        (0.5, 1.0): (1e308 + 0j, True, 1),
+    })
+    assert res == QuadResult(value=1e308 + 0j, intervals_used=9, fevals=3,
+                             status="overflow")
+
+
+@pytest.mark.parametrize("budget, status", [(1, "budget_exhausted"), (2, "width_floor")])
+def test_worklist_pop_below_the_floor_takes_budget_and_no_panels(monkeypatch, budget,
+                                                                  status):
+    # floor 0.6: [0, 1] is rejected and pushes halves below the floor; the
+    # pop of one takes a second interval of the budget and adds no panels
+    monkeypatch.setattr(adaptive, "MIN_WIDTH_FACTOR", 0.6)
+    monkeypatch.setattr(adaptive, "MAX_INTERVALS", budget)
+    res, calls = _scripted_run({(0.0, 1.0): (1.0 + 0j, False, 1)})
+    assert calls == [(0.0, 1.0)]
+    assert res == QuadResult(value=0j, intervals_used=3, fevals=1, status=status)
+
+
+@pytest.mark.parametrize("route, intervals, fevals", [
+    ("qr", 258, 3924), ("svd", 240, 3708), ("gauss", 222, 6660)])
+def test_failed_interval_at_the_floor_is_panel_failure(route, intervals, fevals):
+    # sqrt(4.808191 - x) is NaN right of its root.  Every route splits the
+    # failing intervals around the root down to [4.808190853639753,
+    # 4.808190853639799], whose half-width passes the floor (2.2589e-14)
+    # while its rounded left half (2.2204e-14) does not: it stops there
+    integrand = Integrand(f=lambda x: np.sqrt(4.808191 - x), g=lambda x: 3.0 * x)
+    if route == "gauss":
+        res = adaptive_gauss(integrand, 3.218, 6.358)
+    else:
+        res = adaptive_integrate(integrand, 3.218, 6.358, AdaptiveConfig(solver=route))
+    assert (res.status, res.intervals_used, res.fevals) == ("panel_failure", intervals,
+                                                            fevals)
+    assert cmath.isfinite(res.value)
+
+
 def test_counts():
     integrand = Integrand(f=lambda x: 1.0 + x * x, g=lambda x: 50.0 * x * x)
     res = adaptive_integrate(integrand, -1.0, 1.0)
@@ -209,19 +306,28 @@ def test_concurrent_integrals_match_serial():
     assert parallel == serial
 
 
-def one_trio_per_call(integrand, a, b):
-    """The driver without solve-ahead: each trio is a panel_values pass of its own."""
+def one_trio_per_call(integrand, a, b, panels):
+    """The driver without solve-ahead: each trio is a panel_values pass of its
+    own, judged when popped; the passes' panels are recorded in ``panels``."""
     grid = chebyshev.grid(12)
+    eps = AdaptiveConfig().eps
 
-    def trio(a0, c0, b0):
+    def solve(intervals):
+        (a0, b0), = intervals
+        c0 = 0.5 * (a0 + b0)
         values, _, nevals = panel_values(integrand, ((a0, b0), (a0, c0), (c0, b0)),
                                          grid, "qr")
-        for v in values:
-            if isinstance(v, PanelError):
-                raise v
-        return (*values, nevals)
+        return values, nevals
 
-    return adaptive._run_worklist(trio, a, b, AdaptiveConfig().eps)
+    solve = record_passes(solve, panels)
+
+    def trio(a0, c0, b0):
+        values, nevals = solve([(a0, b0)])
+        if any(isinstance(v, PanelError) for v in values):
+            return None, False, nevals
+        return values[0], accepted_pair_update(*values, eps), nevals
+
+    return adaptive._run_worklist(trio, a, b)
 
 
 def _nan_region(x):
@@ -272,11 +378,13 @@ _STOPPED_RUNS = [
 
 
 def _same_run(monkeypatch, integrand, a, b):
-    """Run both drivers; every trio must return the same value bits, or
-    raise PanelError, in both, and so must the run.  Returns both results
-    and both runs' qr_factor calls."""
-    outcomes, factored = [], []
+    """Run both drivers; every popped interval must have the same three
+    panels, to the value bits or as a PanelError, and the same outcome in
+    both, and so must the run.  Returns both results and both runs'
+    qr_factor calls."""
+    popped, panels, factored = [], ({}, {}), []
     run_worklist, qr_factor = adaptive._run_worklist, linalg.qr_factor
+    table = adaptive._SolveAhead
 
     def counted(*args):
         factored[-1] += 1
@@ -284,23 +392,24 @@ def _same_run(monkeypatch, integrand, a, b):
 
     def recording(trio, *rest):
         seen = []
-        outcomes.append(seen)
+        popped.append(seen)
         factored.append(0)
 
         def recorded(*args):
-            try:
-                out = trio(*args)
-            except PanelError:
-                seen.append((args, "PanelError"))
-                raise
-            seen.append((args, [(v.real.hex(), v.imag.hex()) for v in out[:3]]))
+            out = trio(*args)
+            seen.append((args, panel_bits(out[0]), out[1]))
             return out
         return run_worklist(recorded, *rest)
 
     monkeypatch.setattr(adaptive, "_run_worklist", recording)
+    monkeypatch.setattr(adaptive, "_SolveAhead",
+                        lambda solve, *rest: table(record_passes(solve, panels[1]), *rest))
     monkeypatch.setattr(linalg, "qr_factor", counted)
-    old, new = one_trio_per_call(integrand, a, b), adaptive_integrate(integrand, a, b)
-    assert outcomes[0] == outcomes[1]
+    old = one_trio_per_call(integrand, a, b, panels[0])
+    new = adaptive_integrate(integrand, a, b)
+    runs = [[(*pop, solved[pop[0][::2]]) for pop in seen]
+            for seen, solved in zip(popped, panels)]
+    assert runs[0] == runs[1]
     assert (old.value.real.hex(), old.value.imag.hex(), old.intervals_used, old.status) \
         == (new.value.real.hex(), new.value.imag.hex(), new.intervals_used, new.status)
     return old, new, factored

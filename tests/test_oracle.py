@@ -1,3 +1,4 @@
+import cmath
 import collections
 import math
 import warnings
@@ -9,8 +10,10 @@ from hypothesis import strategies as st
 
 from oscquad import adaptive, adaptive_gauss, gauss_rule, oracle
 from oscquad import AdaptiveConfig, Integrand, adaptive_integrate
+from oscquad.adaptive import accepted_pair_update
 from oscquad.levin import PanelError
 from oscquad.reference import oracle_integrand
+from helpers import panel_bits, record_passes
 
 
 def test_rule_n1():
@@ -192,25 +195,33 @@ def test_trio_samples_each_panel_as_mid_plus_half_times_nodes(monkeypatch):
     assert len(sampled) < len(trios)
 
 
-def one_trio_per_call(fn, a, b, tol=1e-15):
-    """The evaluator without the solve-ahead table: each call of fn samples one trio."""
+def one_trio_per_call(fn, a, b, panels, tol=1e-15):
+    """The evaluator without the solve-ahead table: each call of fn samples
+    one trio, judged when popped; the calls' panels are recorded in ``panels``."""
     rule = gauss_rule(30)
 
-    def trio(a0, c0, b0):
+    def solve(intervals):
+        (a0, b0), = intervals
         h0 = 0.5 * (b0 - a0)
         hh = 0.5 * h0
-        mids = np.array((a0 + h0, a0 + hh, c0 + hh))
+        mids = np.array((a0 + h0, a0 + hh, 0.5 * (a0 + b0) + hh))
         halves = np.array((h0, hh, hh))
         xs = mids[:, None] + halves[:, None] * rule.nodes
         ys = np.asarray(fn(xs.ravel()), dtype=np.complex128)
-        values = halves * (ys.reshape(3, 30) @ rule.weights)
-        if not np.isfinite(values).all():
-            raise PanelError(f"non-finite sample or estimate in [{a0}, {b0}]", 90)
-        v0, vl, vr = values.tolist()
-        return v0, vl, vr, 90
+        values = (halves * (ys.reshape(3, 30) @ rule.weights)).tolist()
+        return [v if cmath.isfinite(v) else PanelError(f"non-finite in [{a0}, {b0}]", 90)
+                for v in values], 90
+
+    solve = record_passes(solve, panels)
+
+    def trio(a0, c0, b0):
+        values, nevals = solve([(a0, b0)])
+        if any(isinstance(v, PanelError) for v in values):
+            return None, False, nevals
+        return values[0], accepted_pair_update(*values, tol), nevals
 
     with np.errstate(all="ignore"):
-        return oracle._run_worklist(trio, a, b, tol)
+        return oracle._run_worklist(trio, a, b)
 
 
 def _nan_region(x):
@@ -234,11 +245,12 @@ _DIRECT_RUNS = [
 
 
 def _same_run(monkeypatch, fn, a, b):
-    """Run both evaluators; every trio must return the same value bits, or
-    raise PanelError, in both, and so must the run.  Returns both results
-    and the points of each call of fn in each run."""
-    outcomes, sampled = [], []
-    run_worklist = oracle._run_worklist
+    """Run both evaluators; every popped interval must have the same three
+    panels, to the value bits or as a PanelError, and the same outcome in
+    both, and so must the run.  Returns both results and the points of each
+    call of fn in each run."""
+    popped, panels, sampled = [], ({}, {}), []
+    run_worklist, table = oracle._run_worklist, oracle._SolveAhead
 
     def counted(x):
         sampled[-1].append(x.size)
@@ -246,22 +258,23 @@ def _same_run(monkeypatch, fn, a, b):
 
     def recording(trio, *rest):
         seen = []
-        outcomes.append(seen)
+        popped.append(seen)
         sampled.append([])
 
         def recorded(*args):
-            try:
-                out = trio(*args)
-            except PanelError:
-                seen.append((args, "PanelError"))
-                raise
-            seen.append((args, [(v.real.hex(), v.imag.hex()) for v in out[:3]]))
+            out = trio(*args)
+            seen.append((args, panel_bits(out[0]), out[1]))
             return out
         return run_worklist(recorded, *rest)
 
     monkeypatch.setattr(oracle, "_run_worklist", recording)
-    old, new = one_trio_per_call(counted, a, b), adaptive_gauss(counted, a, b)
-    assert outcomes[0] == outcomes[1]
+    monkeypatch.setattr(oracle, "_SolveAhead",
+                        lambda solve, *rest: table(record_passes(solve, panels[1]), *rest))
+    old = one_trio_per_call(counted, a, b, panels[0])
+    new = adaptive_gauss(counted, a, b)
+    runs = [[(*pop, solved[pop[0][::2]]) for pop in seen]
+            for seen, solved in zip(popped, panels)]
+    assert runs[0] == runs[1]
     for res, sizes in zip((old, new), sampled):
         assert type(res.value) is complex
         assert res.fevals == sum(sizes) and all(size % 90 == 0 for size in sizes)

@@ -112,6 +112,15 @@ CLI_RUNS = [
     # phase that oscillates) and at a panel failure (invalid right of 0.3).
     ["integrate", "--f", "1/sqrt(x)", "--g", "100*x", "--a", "0", "--b", "1", "--no-timing"],
     ["integrate", "--f", "sqrt(0.3-x)", "--g", "x", "--a", "0", "--b", "1", "--no-timing"],
+    # A failed interval whose rounded left half is below the width floor
+    # while its computed half-width is not: 'panel_failure' on both solvers.
+    *(["integrate", "--f", "sqrt(4.808191-x)", "--g", "3*x", "--a", "3.218", "--b", "6.358",
+       *solver, "--no-timing"] for solver in ([], ["--solver", "svd"])),
+    # Converged runs on the SVD route.
+    ["sweep", "--paper-integral", "I9", "--decades", "1:5", "--count", "25",
+     "--grid-param", "m=2,3", "--eps", "1e-7", "--solver", "svd", "--no-timing"],
+    ["integrate", "--paper-integral", "I22", "--param", "lambda=1e4", "--param", "m=10",
+     "--solver", "svd", "--no-timing"],
     # Estimates that overflow, in the same passes as good spans.
     *(["integrate", "--f", "1e308*max(x-0.5,0)", "--g", "40*x", "--a", "0", "--b", "1",
        "--solver", solver, "--no-timing"] for solver in ("qr", "svd")),
