@@ -33,11 +33,21 @@ interval whose halves would fall below the floor stops the run
 ('panel_failure'), as does an accepted value that would overflow the sum
 ('overflow').  The adaptive Gauss-Legendre reference runs through the
 same driver and rails.
+
+A semi-infinite domain [a, inf) is closed with a Levin tail: p, the
+antiderivative factor of a panel, tends to 0 where the integral converges,
+so the integral over [U, inf) is -p(U) e^{ig(U)} from the panel [U, 2U]
+(Levin, Math. Comp. 38, 1982).  ``_tail`` doubles U until two doublings
+agree on p, |p| falls and |g'| does not shrink (no stationary point
+ahead); the finite part [a, U] then runs through the driver as any finite
+domain.  A tail accepted at no U before 4U overflows ends the run as
+'divergent', or as 'panel_failure' if most of its spans failed.
 """
 
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,6 +61,7 @@ MIN_WIDTH_FACTOR = ROUNDOFF
 # Collocation-matrix entries per panel_values pass of the solve-ahead
 # table (at least one trio a pass): 2 MB of matrices, whatever k is.
 PASS_ENTRIES = 2 ** 17
+TAIL_SPANS = 3  # doublings per panel_values pass of a semi-infinite domain's tail
 
 
 @dataclass(frozen=True)
@@ -88,9 +99,10 @@ class QuadResult:
     """Outcome of an adaptive run.
 
     ``intervals_used`` counts three panels per processed interval, a
-    failed one included; ``fevals`` counts every point at which the
-    integrand was sampled.  ``value`` is the partial sum when the status is
-    not 'converged'.
+    failed one included, plus one per span of a semi-infinite domain's
+    tail; ``fevals`` counts every point at which the integrand was sampled.
+    ``value`` is the partial sum when the status is not 'converged' (0 when
+    a semi-infinite domain's tail closed at no U).
     """
 
     value: complex
@@ -229,13 +241,88 @@ def panel_trio(ahead: _SolveAhead, a0: float, c0: float, b0: float):
     return ahead.trio(a0, c0, b0)
 
 
+def _tail(integrand: Integrand, a: float, grid: chebyshev.ChebGrid, config: AdaptiveConfig):
+    """(U, tail, status, spans, nevals): where the finite part of [a, inf)
+    ends and the Levin tail beyond it, with the spans solved and the
+    samples taken; U is None if no U is accepted before 4U overflows, and
+    status then says why.
+
+    The doublings [U, 2U], [2U, 4U], ... from U = max(2|a|, 1) are solved
+    TAIL_SPANS to a ``panel_values`` pass, for their end terms: p, T, the
+    kernel's part of p e^{ig}, and the g' samples.  U is accepted when
+    [U, 2U] and [2U, 4U] give the same p(2U) by ``accepted_pair_update``
+    (eps, with its roundoff floor; for each solve of a complex f under cos
+    or sin), |p| falls across both doublings by more than ROUNDOFF, and g'
+    keeps one sign on both, its least size on [2U, 4U] no smaller than on
+    [U, 2U].  p then tends to 0, and the integral over [U, inf) is -T(U)
+    from [U, 2U].
+
+    The g' test is what the tail assumes of the phase beyond U: a local
+    solve drops the term C e^{-ig} that a stationary point further out
+    contributes, so |g'| must not shrink toward one.  A phase whose |g'|
+    falls for good, g = log(x) say, is never accepted.  A stationary point
+    so far beyond 4U that |g'| shrinks across [U, 4U] by less than the
+    rounding of the sampled g' is not seen.
+
+    With no U accepted the status is 'panel_failure' when most spans
+    failed, so that the tail's samples or solves stopped it, and
+    'divergent' when most were solved: p never settled, or g' turned or
+    shrank on every pair, so an integral that converges under a phase like
+    log(x) ends 'divergent' too.  (The last few spans often fail, where
+    g' or p e^{ig} overflows.)
+    """
+    lo = max(2.0 * abs(a), 1.0)
+    prev = None  # the last span solved: (its left end, its terms or a PanelError)
+    spans = nevals = failed = 0
+    while True:
+        ladder = []
+        while len(ladder) < TAIL_SPANS and 2.0 * lo < math.inf:
+            ladder.append((lo, 2.0 * lo))
+            lo *= 2.0
+        if not ladder:
+            status = "panel_failure" if 2 * failed > spans else "divergent"
+            return None, 0j, status, spans, nevals
+        values, _, ne = panel_values(integrand, ladder, grid, config.solver, end_terms=True)
+        spans += len(ladder)
+        nevals += ne
+        failed += sum(isinstance(v, PanelError) for v in values)
+        for (u, _), this in zip(ladder, values):
+            if not (prev is None or isinstance(prev[1], PanelError)
+                    or isinstance(this, PanelError)):
+                (t0, _, p0, p1, g0), (_, _, q1, q2, g1) = prev[1], this
+                sizes = [sum(map(abs, p)) for p in (p0, p1, q1, q2)]
+                turn = 1.0 if g0[0] > 0 else -1.0
+                least = (turn * g0).min()
+                if (sizes[1] <= (1.0 - ROUNDOFF) * sizes[0]
+                        and sizes[3] <= (1.0 - ROUNDOFF) * sizes[2]
+                        and all(accepted_pair_update(x, y, 0j, config.eps)
+                                for x, y in zip(p1, q1))
+                        and least > 0 and (turn * g1).min() >= least):
+                    return prev[0], -t0, "converged", spans, nevals
+            prev = (u, this)
+
+
 def adaptive_integrate(integrand: Integrand, a: float, b: float,
                        config: AdaptiveConfig | None = None) -> QuadResult:
-    """Adaptively evaluate the integral of f * kernel(g) over [a, b]."""
-    check_domain(a, b)
+    """Adaptively evaluate the integral of f * kernel(g) over [a, b].
+
+    b may be inf when a is finite: [a, U] is then integrated as a finite
+    domain and the Levin tail beyond U added (``_tail``).  A tail accepted
+    at no U ends the run, with value 0, as 'divergent', or as
+    'panel_failure' when most of its spans failed; an a so large that the
+    tail's first two doublings overflow is a ValueError.
+    """
     if config is None:
         config = AdaptiveConfig()
     grid = chebyshev.grid(config.k)
+    tail = None
+    if b == math.inf and math.isfinite(a):
+        if not 8.0 * max(abs(a), 0.5) < math.inf:
+            raise ValueError(f"a = {a} is too large for a tail: [2|a|, 8|a|] overflows")
+        b, tail, status, spans, nevals = _tail(integrand, a, grid, config)
+        if b is None:
+            return QuadResult(value=0j, intervals_used=spans, fevals=nevals, status=status)
+    check_domain(a, b)
 
     def solve(intervals):
         spans = []
@@ -246,4 +333,11 @@ def adaptive_integrate(integrand: Integrand, a: float, b: float,
         return values, nevals
 
     ahead = _SolveAhead(solve, a, b, config.eps, max(1, PASS_ENTRIES // (3 * config.k ** 2)))
-    return _run_worklist(lambda *t: panel_trio(ahead, *t), a, b)
+    res = _run_worklist(lambda *t: panel_trio(ahead, *t), a, b)
+    if tail is None:
+        return res
+    value, status = res.value + tail, res.status
+    if not cmath.isfinite(value):
+        value, status = res.value, "overflow"
+    return QuadResult(value=value, intervals_used=res.intervals_used + spans,
+                      fevals=res.fevals + nevals, status=status)

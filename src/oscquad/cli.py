@@ -18,9 +18,12 @@ checks the catalog id and the ranges of --decades, --ranges, --count,
 while the command runs: an expression that does not parse, a catalog
 parameter that is missing, not finite, out of its domain or not taken by
 the integral, a catalog id with any expression flag, a domain of infinite
-width, a tolerance or order ``AdaptiveConfig`` rejects, an --out path that
-cannot be opened (tried before any work), or an expression nested too
-deeply to parse or evaluate.  ``main`` prints the message to stderr and
+width other than --b inf with a finite --a (closed by a Levin tail; an
+--a whose 8|a| overflows is refused too), an infinite end on the Gauss
+route (``compare`` of I2 or I3), a tolerance or
+order ``AdaptiveConfig`` rejects, an --out path that cannot be opened
+(tried before any work), or an expression nested too deeply to parse or
+evaluate.  ``main`` prints the message to stderr and
 returns the code instead of raising.  All floating-point output is
 rendered with 17 significant digits so values round-trip exactly.
 """
@@ -310,7 +313,7 @@ def main(argv=None) -> int:
                    help="imaginary part of f(x) as an expression")
     p.add_argument("--g", help="phase g(x) as an expression")
     p.add_argument("--a", type=float, help="lower endpoint")
-    p.add_argument("--b", type=float, help="upper endpoint")
+    p.add_argument("--b", type=float, help="upper endpoint (inf for a Levin tail)")
     p.add_argument("--kernel", choices=KERNELS, help="oscillator kernel (default exp)")
     _add_catalog_id(p)
     _add_common(p)

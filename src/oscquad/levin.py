@@ -40,6 +40,7 @@ scalar one, so each value keeps the bits of a plain per-span evaluation.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -95,12 +96,21 @@ class LevinLocalResult:
 
 
 def check_domain(a: float, b: float) -> None:
-    """Reject [a, b] unless a < b and the width b - a (so a and b) is finite."""
+    """Reject [a, b] unless a < b and the width b - a (so a and b) is finite.
+
+    The message names an infinite end: only ``adaptive_integrate`` takes
+    one, b = inf with a finite a, which it closes with a Levin tail.
+    """
     if not (float(a) < float(b) and np.isfinite(float(b) - float(a))):
-        raise ValueError(f"need finite a < b with a finite width b - a, got [{a}, {b}]")
+        ends = [f"{name} = {end}" for name, end in (("a", a), ("b", b))
+                if math.isinf(float(end))]
+        why = (f"infinite end {' and '.join(ends)}: only adaptive_integrate takes one, b = inf"
+               " with a finite a" if ends else "need finite a < b with a finite width b - a")
+        raise ValueError(f"{why}, got [{a}, {b}]")
 
 
-def panel_values(integrand: Integrand, spans, grid: chebyshev.ChebGrid, solver: str):
+def panel_values(integrand: Integrand, spans, grid: chebyshev.ChebGrid, solver: str,
+                 end_terms: bool = False):
     """Panel estimates over each (a, b) in ``spans`` from one sampling pass.
 
     The grid is mapped onto every span at once, with each span's first and
@@ -126,6 +136,12 @@ def panel_values(integrand: Integrand, spans, grid: chebyshev.ChebGrid, solver: 
     pass.  Returns (values, ranks, nevals); a failed span's rank
     is None, and nevals, the ``nevals`` of each PanelError too, counts
     every point the pass sampled.
+
+    With ``end_terms``, a span's value is instead (T(a), T(b), P(a), P(b),
+    G), for the tail of a semi-infinite domain: T is the kernel's part of
+    p e^{ig}, so the panel estimate is T(b) - T(a), P holds p from each
+    solve, (p,) or, with the second solve against conj(f), (p, p_c), and G
+    is the span's row of g' samples.
     """
     if solver not in linalg.SOLVERS:
         raise ValueError(f"solver must be one of {linalg.SOLVERS}, got {solver!r}")
@@ -203,6 +219,14 @@ def panel_values(integrand: Integrand, spans, grid: chebyshev.ChebGrid, solver: 
 
     fs = fs.reshape(n, k)
     kernel = integrand.kernel
+
+    def kernel_part(e, e_neg):
+        """The kernel's part of the exp-kernel value e = E(g), given
+        e_neg = E(-g) for a complex f, else None."""
+        if e_neg is not None:
+            return 0.5 * (e + e_neg) if kernel == "cos" else (e - e_neg) / 2j
+        return e if kernel == "exp" else complex(e.real if kernel == "cos" else e.imag)
+
     conj = fs.imag.any(axis=1).tolist() if kernel != "exp" else [False] * n
     values, ranks = [None] * n, [None] * n
     for i, (fi, (ea, eb), want_conj) in enumerate(zip(fs, phases, conj)):
@@ -214,12 +238,20 @@ def panel_values(integrand: Integrand, spans, grid: chebyshev.ChebGrid, solver: 
             value = p1 * eb - p0 * ea
             if want_conj:
                 pc0, pc1, _ = endpoints(i, fi.conj())
-                value_neg = (pc1 * eb - pc0 * ea).conjugate()
-                value = (0.5 * (value + value_neg) if kernel == "cos"
-                         else (value - value_neg) / 2j)
+                value = kernel_part(value, (pc1 * eb - pc0 * ea).conjugate())
             elif kernel != "exp":
-                value = complex(value.real if kernel == "cos" else value.imag)
-            if not cmath.isfinite(value):
+                value = kernel_part(value, None)
+            if end_terms:
+                ps, neg = ((p0,), (p1,)), (None, None)
+                if want_conj:
+                    ps = ((p0, pc0), (p1, pc1))
+                    neg = ((pc0 * ea).conjugate(), (pc1 * eb).conjugate())
+                value = (kernel_part(p0 * ea, neg[0]), kernel_part(p1 * eb, neg[1]), *ps,
+                         gprime[i])
+                finite = all(map(cmath.isfinite, value[:2] + ps[0] + ps[1]))
+            else:
+                finite = cmath.isfinite(value)
+            if not finite:
                 failed[i] = f"non-finite panel estimate on {spans[i].tolist()}"
             values[i] = value
         except linalg.LinalgError as exc:

@@ -2,27 +2,20 @@
 
 Each entry is one record holding all that any route needs: f, g and the
 kernel as expression strings over the variable x plus named parameters,
-the domain, the closed form where one is known (I1, I2, I4, I5, I6, I7),
-and the reference route's direct integrand where it is not f*kernel(g)
-(I21).
+the domain, the closed form where one is known (I1-I7), and the reference
+route's direct integrand where it is not f*kernel(g) (I21).
 Adding an integral or a closed form means adding one record.  The catalog
 is what the CLI exposes through ``--paper-integral``.
 
-Semi-infinite or endpoint-singular members are restated in a form the
-finite-interval machinery can handle; each such restatement comes with an
-explicit truncation rule (a domain that depends on lambda) whose tail
-bound is far below the accuracy targets:
+Endpoint-singular members are restated by a substitution that removes the
+singularity.  The two semi-infinite ones keep b = inf, which
+``adaptive_integrate`` closes with a Levin tail; they need lambda > 0, as
+their closed forms do:
 
 * I2 = int_0^inf exp(i*lam*x^2)/sqrt(x) dx.  The substitution x = u^2
-  turns it into 2 * int_0^inf exp(i*lam*u^4) du, which removes the
-  endpoint singularity.  Truncating at U leaves a tail bounded by
-  2*max|f|/min g' = 1/(lam*U^3)  (van der Corput, g' = 4*lam*u^3 monotone),
-  i.e. 1/(lam*R^(3/2)) in terms of the original variable R = U^2; the
-  catalog picks U = (1e13/lam)^(1/3) so the tail is below 1e-13.
+  turns it into 2 * int_0^inf exp(i*lam*u^4) du.
 * I3 = int_0^1 exp(i*lam/sqrt(x))/x dx.  The substitution u = 1/sqrt(x)
-  gives 2 * int_1^inf exp(i*lam*u)/u du (whose value is the incomplete
-  gamma form this catalog does not evaluate).  Integration by parts bounds
-  the tail beyond U by 4/(lam*U); the catalog picks U = 4e13/lam.
+  gives 2 * int_1^inf exp(i*lam*u)/u du = 2*E1(-i*lam).
 
 I21 is the azimuthal Fourier component of the 3-D Helmholtz kernel,
 (1/(4*pi^2)) * int_{-pi}^{pi} exp(-i*kappa*sqrt(1-alpha*cos(x)))
@@ -41,7 +34,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import wofz
+from scipy.special import exp1, wofz
 
 from . import expr as exprmod
 from .adaptive import AdaptiveConfig, QuadResult, adaptive_integrate
@@ -58,10 +51,9 @@ GAMMA_5_4 = 0.90640247705547705
 class NamedIntegral:
     """One catalog entry.
 
-    ``domain`` is the fixed (a, b) pair, or a function of lambda > 0 where
-    the truncation point depends on it.  ``phases`` lists the g
-    expressions of the exp-kernel components the integral splits into;
-    all but I21 have exactly one.  ``closed_form`` maps lambda to the
+    ``domain`` is the (a, b) pair; b = inf takes lambda > 0.  ``phases``
+    lists the g expressions of the exp-kernel components the integral
+    splits into; all but I21 have exactly one.  ``closed_form`` maps lambda to the
     value, or is None.  ``product`` maps the bound parameters to the
     reference route's direct integrand; None means f*kernel(g).
     """
@@ -71,7 +63,7 @@ class NamedIntegral:
     kernel: str
     params: tuple
     phases: tuple
-    domain: tuple | Callable[[float], tuple]
+    domain: tuple
     weight: float = 1.0
     closed_form: Callable[[float], complex] | None = None
     product: Callable[[dict], Callable] | None = None
@@ -186,11 +178,12 @@ CATALOG = {
     "I2": NamedIntegral(
         id="I2", f_expr="2", kernel="exp", params=("lambda",),
         phases=("lambda*x^4",),
-        domain=lambda lam: (0.0, (1e13 / lam) ** (1.0 / 3.0)),
+        domain=(0.0, math.inf),
         closed_form=lambda lam: np.exp(1j * math.pi / 8.0) * 2.0 * GAMMA_5_4 / lam ** 0.25),
     "I3": NamedIntegral(
         id="I3", f_expr="2/x", kernel="exp", params=("lambda",),
-        phases=("lambda*x",), domain=lambda lam: (1.0, 4e13 / lam)),
+        phases=("lambda*x",), domain=(1.0, math.inf),
+        closed_form=lambda lam: complex(2.0 * exp1(-1j * lam))),
     # The upper endpoint phase of the I4 closed form is written exactly as
     # the integrand evaluates it (lambda * exp(10)) so argument rounding
     # cancels in comparisons.
@@ -248,19 +241,13 @@ def _entry(id: str, params: dict) -> NamedIntegral:
 
 
 def _lambda(entry: NamedIntegral, params: dict) -> float:
-    lam = float(params["lambda"])  # the truncations and closed forms need lambda > 0
+    lam = float(params["lambda"])  # the tails and closed forms need lambda > 0
     if lam <= 0:
         raise ValueError(f"{entry.id} needs lambda > 0")
     if lam < sys.float_info.min:  # the closed forms overflow at a subnormal lambda
         raise ValueError(f"{entry.id} needs lambda >= {sys.float_info.min!r} "
                          f"(the smallest normal float), got {lam!r}")
     return lam
-
-
-def _domain(entry: NamedIntegral, params: dict) -> tuple:
-    if isinstance(entry.domain, tuple):
-        return entry.domain
-    return entry.domain(_lambda(entry, params))
 
 
 def closed_form_value(id: str, params: dict) -> complex:
@@ -275,6 +262,8 @@ def _bind(id: str, params: dict, direct: bool = False):
     """(entry, components, domain): one Integrand per phase, sharing one
     compiled f; with ``direct``, an entry's ``product`` in their place."""
     entry = _entry(id, params)
+    if math.isinf(entry.domain[1]):
+        _lambda(entry, params)
     bound = {p: float(params[p]) for p in entry.params}
     if direct and entry.product is not None:
         components = [entry.product(bound)]
@@ -282,7 +271,7 @@ def _bind(id: str, params: dict, direct: bool = False):
         f_fn = exprmod.compile_fn(entry.f_expr, bound)
         components = [Integrand(f=f_fn, g=exprmod.compile_fn(g, bound), kernel=entry.kernel)
                       for g in entry.phases]
-    return entry, components, _domain(entry, params)
+    return entry, components, entry.domain
 
 
 def integrand_for(id: str, params: dict):

@@ -1,9 +1,11 @@
 import cmath
 import math
+import time
 import warnings
 
 import numpy as np
 import pytest
+from scipy.special import exp1, sici
 
 from oscquad import (AdaptiveConfig, Integrand, PanelError, adaptive, adaptive_gauss,
                      adaptive_integrate, chebyshev, linalg)
@@ -285,7 +287,9 @@ def test_config_validation():
     assert AdaptiveConfig(k=np.int64(12)).k == 12
     with pytest.raises(ValueError):
         AdaptiveConfig(solver="lu")
-    for a, b in ((0.0, math.inf), (-1e308, 1e308)):
+    # b = inf is taken with a finite a only
+    for a, b in ((-math.inf, 0.0), (-math.inf, math.inf), (0.0, -math.inf),
+                 (math.nan, math.inf), (0.0, math.nan), (-1e308, 1e308)):
         with pytest.raises(ValueError):
             adaptive_integrate(Integrand(f=lambda x: x, g=lambda x: x), a, b)
 
@@ -341,15 +345,17 @@ def _inv_sqrt(x):
         return 1.0 / np.sqrt(x)
 
 
-def _catalog(id, params):
+def _catalog(id, params, domain=None):
     components, (a, b) = integrand_for(id, params)
+    a, b = domain or (a, b)
     return [(f"{id}-{params}-{n}", integrand, a, b)
             for n, (_, integrand) in enumerate(components)]
 
 
 _CONVERGED_RUNS = [
     *_catalog("I22", {"lambda": 1e5, "m": 20.0}),
-    *_catalog("I3", {"lambda": 1e3}),
+    # I3 on a wide finite domain, whose first trio agrees with itself
+    *_catalog("I3", {"lambda": 1e3}, (1.0, 4e10)),
     *_catalog("I21", {"kappa": 100.0, "m": 100.0, "alpha": 0.5}),
     *((f"complex-f-{kernel}", Integrand(f=lambda x: np.exp(-x) + 1j * x,
                                         g=lambda x: 40.0 * x + 3.0 * x ** 2,
@@ -468,3 +474,102 @@ def test_solve_ahead_keeps_every_bit_when_passes_are_capped(monkeypatch):
     assert new.status == "converged" and new.fevals == old.fevals
     assert factored_new == factored_old == new.intervals_used
     assert max(passes) == 3 * 2
+
+
+@pytest.mark.parametrize("solver", ["qr", "svd"])
+@pytest.mark.parametrize("lam", [1.0, 10.0, 1e3])
+def test_cosine_and_sine_integral_tails(lam, solver):
+    # int_1^inf cos(lam x)/x dx = -Ci(lam), int_1^inf sin(lam x)/x dx = pi/2 - Si(lam)
+    si, ci = sici(lam)
+    for kernel, want in (("cos", -ci), ("sin", math.pi / 2 - si)):
+        integrand = Integrand(f=lambda x: 1.0 / x, g=lambda x: lam * x, kernel=kernel)
+        res = adaptive_integrate(integrand, 1.0, math.inf, AdaptiveConfig(solver=solver))
+        assert res.status == "converged"
+        assert res.value.imag == 0.0
+        assert abs(res.value - want) <= 1e-11, (kernel, res.value, want)
+
+
+def test_complex_f_tail_under_cos_and_sin():
+    # f = (1 + 2i)/x under cos and sin: (1 + 2i) times the real-f tails
+    si, ci = sici(10.0)
+    for kernel, want in (("cos", -ci), ("sin", math.pi / 2 - si)):
+        integrand = Integrand(f=lambda x: (1 + 2j) / x, g=lambda x: 10.0 * x, kernel=kernel)
+        res = adaptive_integrate(integrand, 1.0, math.inf)
+        assert res.status == "converged"
+        assert abs(res.value - (1 + 2j) * want) <= 1e-11, kernel
+
+
+def test_tail_adds_its_spans_and_samples_to_the_finite_part():
+    integrand = Integrand(f=lambda x: 2.0 / x, g=lambda x: 1e3 * x)
+    u, tail, status, spans, nevals = adaptive._tail(integrand, 1.0, chebyshev.grid(12),
+                                                    AdaptiveConfig())
+    # accepted at U0 = 2, after one pass of the ladder
+    assert (u, status, spans, nevals) == (2.0, "converged", adaptive.TAIL_SPANS,
+                                          12 * adaptive.TAIL_SPANS)
+    finite = adaptive_integrate(integrand, 1.0, u)
+    res = adaptive_integrate(integrand, 1.0, math.inf)
+    assert res == QuadResult(finite.value + tail, finite.intervals_used + spans,
+                             finite.fevals + nevals, "converged")
+    assert abs(res.value - 2.0 * exp1(-1e3j)) <= 1e-12
+
+
+def test_tail_that_overflows_the_sum_is_overflow(monkeypatch):
+    # the finite part's value is kept, with the tail's spans and samples
+    monkeypatch.setattr(adaptive, "_tail",
+                        lambda *args: (1.0, 1.797e308 + 0j, "converged", 3, 36))
+    integrand = Integrand(f=lambda x: np.full_like(x, 1e306), g=lambda x: x)
+    finite = adaptive_integrate(integrand, 0.0, 1.0)
+    assert finite.status == "converged"
+    res = adaptive_integrate(integrand, 0.0, math.inf)
+    assert res == QuadResult(finite.value, finite.intervals_used + 3, finite.fevals + 36,
+                             "overflow")
+
+
+def test_zero_integrand_has_a_zero_tail():
+    # p = 0 falls by the rule (0 <= 0), so U0 = 6 is accepted; [-3, 6] is one trio
+    res = adaptive_integrate(Integrand(f=lambda x: 0.0 * x, g=lambda x: x), -3.0, math.inf)
+    spans = 3 + adaptive.TAIL_SPANS
+    assert res == QuadResult(0j, spans, 12 * spans, "converged")
+
+
+@pytest.mark.parametrize("f, g", [(lambda x: 1.0 + 0.0 * x, lambda x: x),
+                                  (lambda x: 1.0 / x, np.log)], ids=["1-x", "inv-x-log-x"])
+def test_tail_that_never_settles_is_divergent(f, g):
+    # p' + i g' p = f has p = -i in both, and no solution tends to 0: the
+    # integrals diverge.  Every doubling up to the largest float is tried.
+    t0 = time.perf_counter()
+    res = adaptive_integrate(Integrand(f=f, g=g), 1.0, math.inf)
+    assert time.perf_counter() - t0 < 1.0
+    assert res == QuadResult(0j, 1022, 12 * 1022, "divergent")
+
+
+def test_stationary_point_beyond_the_first_doublings_is_kept():
+    # g' = 2(x - 100) shrinks on [2, 8]: the spans there agree on p and |p|
+    # falls, but a local solve drops the stationary point's contribution
+    # (about f(100) sqrt(pi) = 1.8e-4), so U is taken past x = 100
+    integrand = Integrand(f=lambda x: 1.0 / (1.0 + x * x), g=lambda x: (x - 100.0) ** 2)
+    u, _, status, _, _ = adaptive._tail(integrand, 1.0, chebyshev.grid(12), AdaptiveConfig())
+    assert status == "converged" and u > 100.0
+    res = adaptive_integrate(integrand, 1.0, math.inf)
+    # beyond 1e4 the integral is below f/g' = 5e-13
+    finite = adaptive_integrate(integrand, 1.0, 1e4)
+    assert res.status == finite.status == "converged"
+    assert abs(res.value - finite.value) <= 1e-11
+
+
+def test_tail_whose_samples_fail_is_panel_failure():
+    # sqrt(10 - x) is NaN beyond 10: all but two of the spans fail
+    res = adaptive_integrate(Integrand(f=lambda x: np.sqrt(10.0 - x), g=lambda x: x),
+                             1.0, math.inf)
+    assert res == QuadResult(0j, 1022, res.fevals, "panel_failure")
+
+
+@pytest.mark.parametrize("a", [4.5e307, -4.5e307, 1.7e308])
+def test_a_too_large_for_a_tail_is_refused(a):
+    # [2|a|, 8|a|] overflows, so the tail has no two doublings to compare
+    with pytest.raises(ValueError, match="too large for a tail"):
+        adaptive_integrate(Integrand(f=lambda x: 1.0 / x, g=lambda x: x), a, math.inf)
+    # a = 2.2e307 is taken: its two spans are solved, and fail where g' overflows
+    res = adaptive_integrate(Integrand(f=lambda x: 1.0 / (x * x), g=lambda x: x), 2.2e307,
+                             math.inf)
+    assert (res.intervals_used, res.status) == (2, "panel_failure")

@@ -245,6 +245,10 @@ BAD_INPUTS = [
     ["sweep", "--paper-integral", "I9", "--param", "m=inf", "--count", "2"],
     ["sweep", "--paper-integral", "I9", "--grid-param", "m=inf", "--count", "2"],
     ["integrate", "--f", "exp(-x^2)", "--g", "0", "--a=-1e308", "--b=1e308"],
+    ["integrate", "--f", "1/x", "--g", "x", "--a=-inf", "--b", "inf"],
+    ["integrate", "--f", "1/x", "--g", "x", "--a", "1", "--b=-inf"],
+    ["integrate", "--f", "1/x", "--g", "x", "--a", "1e308", "--b", "inf"],
+    ["compare", "--paper-integral", "I3", "--ranges", "1:10", "--samples", "1"],
     ["sweep", "--paper-integral", "I1", "--decades", "2:1"],
     ["sweep", "--paper-integral", "I1", "--decades=-400:-399", "--count", "2"],
     ["sweep", "--paper-integral", "I1", "--decades", "300:400", "--count", "2"],
@@ -355,6 +359,34 @@ def test_out_is_replaced_only_by_a_run_that_finishes(tmp_path, capsys):
     code, _, _ = run_cli([*argv, "--out", str(old)], capsys)
     assert code == 0
     assert old.read_bytes() == want.encode()
+
+
+def test_integrate_to_infinity(capsys):
+    from scipy.special import exp1
+    for solver in ("qr", "svd"):
+        code, out, _ = run_cli(["integrate", "--f", "2/x", "--g", "lambda*x", "--a", "1",
+                                "--b", "inf", "--param", "lambda=10", "--solver", solver],
+                               capsys)
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["status"] == "converged"
+        assert abs(complex(doc["value_re"], doc["value_im"]) - 2 * exp1(-10j)) <= 1e-11
+
+
+def test_divergent_tail_exits_1(capsys):
+    code, out, _ = run_cli(["integrate", "--f", "1", "--g", "x", "--a", "1", "--b", "inf",
+                            "--no-timing"], capsys)
+    assert code == 1
+    doc = json.loads(out)
+    assert (doc["status"], doc["value_re"], doc["value_im"]) == ("divergent", 0.0, 0.0)
+
+
+def test_infinite_end_on_the_gauss_route_is_named(capsys):
+    code, _, err = run_cli(["compare", "--paper-integral", "I2", "--ranges", "1:10",
+                            "--samples", "1"], capsys)
+    assert code == 2
+    assert err == ("error: infinite end b = inf: only adaptive_integrate takes one, "
+                   "b = inf with a finite a, got [0.0, inf]\n")
 
 
 def test_out_of_domain_lambda_names_the_rule(capsys):

@@ -290,6 +290,10 @@ def test_rejects_bad_interval_and_kernel():
         levin_panel(Integrand(f=const_one, g=const_one), 1.0, 0.0)
     with pytest.raises(ValueError):
         Integrand(f=const_one, g=const_one, kernel="tan")
+    # only adaptive_integrate closes an infinite end, with a Levin tail
+    for a, b in ((0.0, math.inf), (-math.inf, 0.0)):
+        with pytest.raises(ValueError, match="^infinite end "):
+            levin_panel(Integrand(f=const_one, g=const_one), a, b)
     # the driver validates its solver in AdaptiveConfig; levin_panel passes its own
     with pytest.raises(ValueError, match="solver must be one of"):
         levin_panel(Integrand(f=const_one, g=const_one), 0.0, 1.0, solver="lu")
@@ -399,3 +403,27 @@ def test_panel_values_match_per_span_reference(f, g, kernel, spans, solver):
             assert min(ranks) < k
         if spans is THREE_KINDS:
             assert max(ranks[:3]) < k and ranks[3:6] == [k] * 3
+
+
+@pytest.mark.parametrize("solver", ["qr", "svd"])
+@pytest.mark.parametrize("kernel, f", [("exp", lambda x: 1 / (1 + x * x)),
+                                       ("cos", lambda x: 1 / (1 + x * x)),
+                                       ("sin", lambda x: np.exp(x) + 1j * x)])
+def test_end_terms_give_each_span_its_value(kernel, f, solver):
+    # T(b) - T(a) is the panel value (bit for bit where it is one
+    # subtraction), P holds p of each solve, G the g' samples from a to b,
+    # and every span keeps its rank
+    integrand = Integrand(f=f, g=lambda x: 30.0 * x * x, kernel=kernel)
+    spans = [(-1.0, 0.0), (0.0, 0.5), (1.0, 3.0)]
+    grid = chebyshev.grid(12)
+    values, ranks, nevals = panel_values(integrand, spans, grid, solver)
+    terms, end_ranks, end_nevals = panel_values(integrand, spans, grid, solver, end_terms=True)
+    assert (end_ranks, end_nevals) == (ranks, nevals)
+    for (a, b), value, (ta, tb, pa, pb, gp) in zip(spans, values, terms):
+        assert len(pa) == len(pb) == (2 if kernel == "sin" else 1)
+        assert len(gp) == 12
+        assert abs(gp[0] - 60.0 * a) <= 1e-11 and abs(gp[-1] - 60.0 * b) <= 1e-11
+        if kernel == "sin":
+            assert abs((tb - ta) - value) <= 1e-15 * abs(value)
+        else:
+            assert tb - ta == value

@@ -122,6 +122,10 @@ def test_adaptive_counts_and_validation():
     for a, b in ((1.0, 0.0), (-1e308, 1e308)):
         with pytest.raises(ValueError):
             adaptive_gauss(np.exp, a, b)
+    # no tail on this route: an infinite end is refused by name
+    for a, b, end in ((0.0, math.inf, "b = inf"), (-math.inf, 0.0, "a = -inf")):
+        with pytest.raises(ValueError, match=f"^infinite end {end}: "):
+            adaptive_gauss(np.exp, a, b)
     for tol in (0.0, math.inf, math.nan):
         with pytest.raises(ValueError):
             adaptive_gauss(np.exp, 0.0, 1.0, tol=tol)

@@ -128,6 +128,19 @@ CLI_RUNS = [
     # both solvers, so a converged run goes through each truncated apply.
     *(["integrate", "--f", "1+x^2", "--g", "1e-8*x^2", "--a", "-1", "--b", "1",
        "--solver", solver, "--no-timing"] for solver in ("qr", "svd")),
+    # Semi-infinite domains, closed by a Levin tail: I3's integrand on both
+    # solvers, a cos-kernel tail, a stationary point beyond the first
+    # doublings, two tails that never settle, one whose samples fail, and
+    # an infinite lower end and an a too large for a tail, both refused.
+    *(["integrate", "--f", "2/x", "--g", "lambda*x", "--a", "1", "--b", "inf",
+       "--param", "lambda=10", "--solver", solver, "--no-timing"] for solver in ("qr", "svd")),
+    ["integrate", "--f", "1/x", "--g", "10*x", "--kernel", "cos", "--a", "1", "--b", "inf",
+     "--no-timing"],
+    *(["integrate", "--f", f, "--g", g, "--a", "1", "--b", "inf", "--no-timing"]
+      for f, g in (("1/(1+x^2)", "(x-100)^2"), ("1", "x"), ("1/x", "log(x)"),
+                   ("sqrt(10-x)", "x"))),
+    *(["integrate", "--f", "1/x", "--g", "x", a, "--b", "inf", "--no-timing"]
+      for a in ("--a=-inf", "--a=1e308")),
     # Refused before any work.  A commit without the [1, 1000000] bound
     # asks for 8 GB of lambda values (sweep) or a million integrals per
     # range (compare); there the address-space cap refuses the first and
