@@ -38,10 +38,11 @@ A semi-infinite domain [a, inf) is closed with a Levin tail: p, the
 antiderivative factor of a panel, tends to 0 where the integral converges,
 so the integral over [U, inf) is -p(U) e^{ig(U)} from the panel [U, 2U]
 (Levin, Math. Comp. 38, 1982).  ``_tail`` doubles U until two doublings
-agree on p, |p| falls and |g'| does not shrink (no stationary point
-ahead); the finite part [a, U] then runs through the driver as any finite
-domain.  A tail accepted at no U before 4U overflows ends the run as
-'divergent', or as 'panel_failure' if most of its spans failed.
+agree on p, |p| falls and |g'| does not shrink, or shrinks by a steady
+factor per doubling (no stationary point ahead); the finite part [a, U]
+then runs through the driver as any finite domain.  A tail accepted at
+no U before 4U overflows ends the run as 'divergent', or as
+'panel_failure' if most of its spans failed.
 """
 
 from __future__ import annotations
@@ -241,6 +242,30 @@ def panel_trio(ahead: _SolveAhead, a0: float, c0: float, b0: float):
     return ahead.trio(a0, c0, b0)
 
 
+def _steady(ladder, turn: float, grid: chebyshev.ChebGrid) -> bool:
+    """Whether |g'| shrinks across the last two of three consecutive tail
+    spans by no larger factor than across the first two, each span given as
+    (U, terms or a PanelError) and g' of sign ``turn`` on all three.
+
+    The factors, quotients of the spans' least turn * g', are compared to
+    within ROUNDOFF and the rounding of those samples: a sampled g', the
+    product of D/h with the g samples, is off by about EPS0 (|D| |g|)/h at
+    its node, far more than EPS0 |g'| where |g| is large against h |g'|.
+    """
+    least = []
+    for span in ladder:
+        if span is None or isinstance(span[1], PanelError):
+            return False
+        u, (*_, gprime, g) = span
+        j = int(np.argmin(turn * gprime))
+        m = turn * gprime[j]
+        if not m > 0:
+            return False
+        least.append((m, linalg.EPS0 * (np.abs(grid.diff[j]) @ np.abs(g)) / (0.5 * u * m)))
+    (m0, r0), (m1, r1), (m2, r2) = least
+    return m2 / m1 >= (m1 / m0) * (1.0 - (ROUNDOFF + r0 + 2.0 * r1 + r2))
+
+
 def _tail(integrand: Integrand, a: float, grid: chebyshev.ChebGrid, config: AdaptiveConfig):
     """(U, tail, status, spans, nevals): where the finite part of [a, inf)
     ends and the Levin tail beyond it, with the spans solved and the
@@ -249,30 +274,33 @@ def _tail(integrand: Integrand, a: float, grid: chebyshev.ChebGrid, config: Adap
 
     The doublings [U, 2U], [2U, 4U], ... from U = max(2|a|, 1) are solved
     TAIL_SPANS to a ``panel_values`` pass, for their end terms: p, T, the
-    kernel's part of p e^{ig}, and the g' samples.  U is accepted when
+    kernel's part of p e^{ig}, and the g' and g samples.  U is accepted when
     [U, 2U] and [2U, 4U] give the same p(2U) by ``accepted_pair_update``
     (eps, with its roundoff floor; for each solve of a complex f under cos
     or sin), |p| falls across both doublings by more than ROUNDOFF, and g'
     keeps one sign on both, its least size on [2U, 4U] no smaller than on
-    [U, 2U].  p then tends to 0, and the integral over [U, inf) is -T(U)
-    from [U, 2U].
+    [U, 2U], or, from the second doubling on, smaller by no larger factor
+    than from [U/2, U] to [U, 2U] (``_steady``).  p then tends to 0, and
+    the integral over [U, inf) is -T(U) from [U, 2U].
 
     The g' test is what the tail assumes of the phase beyond U: a local
     solve drops the term C e^{-ig} that a stationary point further out
-    contributes, so |g'| must not shrink toward one.  A phase whose |g'|
-    falls for good, g = log(x) say, is never accepted.  A stationary point
-    so far beyond 4U that |g'| shrinks across [U, 4U] by less than the
+    contributes, so |g'| must not shrink toward one.  Toward one it shrinks
+    by a larger factor each doubling, as 2(100 - x) does below 100; a |g'|
+    that decays like a power, as under g = log(x) or sqrt(x), shrinks by
+    the same factor each doubling and is accepted.  A stationary point so
+    far beyond 4U that the factor changes across [U/2, 4U] by less than the
     rounding of the sampled g' is not seen.
 
     With no U accepted the status is 'panel_failure' when most spans
     failed, so that the tail's samples or solves stopped it, and
     'divergent' when most were solved: p never settled, or g' turned or
-    shrank on every pair, so an integral that converges under a phase like
-    log(x) ends 'divergent' too.  (The last few spans often fail, where
+    shrank ever faster on every pair.  (The last few spans often fail, where
     g' or p e^{ig} overflows.)
     """
     lo = max(2.0 * abs(a), 1.0)
     prev = None  # the last span solved: (its left end, its terms or a PanelError)
+    older = None  # the span solved before prev, alike
     spans = nevals = failed = 0
     while True:
         ladder = []
@@ -289,7 +317,7 @@ def _tail(integrand: Integrand, a: float, grid: chebyshev.ChebGrid, config: Adap
         for (u, _), this in zip(ladder, values):
             if not (prev is None or isinstance(prev[1], PanelError)
                     or isinstance(this, PanelError)):
-                (t0, _, p0, p1, g0), (_, _, q1, q2, g1) = prev[1], this
+                (t0, _, p0, p1, g0, _), (_, _, q1, q2, g1, _) = prev[1], this
                 sizes = [sum(map(abs, p)) for p in (p0, p1, q1, q2)]
                 turn = 1.0 if g0[0] > 0 else -1.0
                 least = (turn * g0).min()
@@ -297,9 +325,10 @@ def _tail(integrand: Integrand, a: float, grid: chebyshev.ChebGrid, config: Adap
                         and sizes[3] <= (1.0 - ROUNDOFF) * sizes[2]
                         and all(accepted_pair_update(x, y, 0j, config.eps)
                                 for x, y in zip(p1, q1))
-                        and least > 0 and (turn * g1).min() >= least):
+                        and least > 0 and ((turn * g1).min() >= least
+                                           or _steady((older, prev, (u, this)), turn, grid))):
                     return prev[0], -t0, "converged", spans, nevals
-            prev = (u, this)
+            older, prev = prev, (u, this)
 
 
 def adaptive_integrate(integrand: Integrand, a: float, b: float,

@@ -3,8 +3,8 @@
 The collocation machinery in this package works on the k-point grid of
 Chebyshev extremal nodes (the Chebyshev-Lobatto grid, endpoints included).
 This module builds the grid, the associated spectral differentiation
-matrix, and the value-to-coefficient transform, all on the reference
-interval [-1, 1].
+matrix, and the value-to-coefficient map, all on the reference interval
+[-1, 1].
 
 Grids are immutable and cached per order k; construction is idempotent, so
 concurrent first use from several threads is safe.
@@ -32,11 +32,16 @@ class ChebGrid:
     diff : ndarray, shape (k, k)
         Spectral differentiation matrix: maps values of a polynomial of
         degree < k at the nodes to values of its derivative at the nodes.
+    coeffs : ndarray, shape (k, k)
+        Maps values at the nodes to the Chebyshev coefficients a_0..a_{k-1}
+        of the degree-<k interpolant: the inverse of the Chebyshev
+        Vandermonde matrix T_n(nodes[j]).
     """
 
     k: int
     nodes: np.ndarray
     diff: np.ndarray
+    coeffs: np.ndarray
 
 
 def cheb_nodes(k: int) -> np.ndarray:
@@ -80,35 +85,17 @@ def diff_matrix(k: int) -> np.ndarray:
 
 
 def cheb_coeffs(values: np.ndarray) -> np.ndarray:
-    """Coefficients a_0..a_{k-1} of the degree-<k interpolant through samples.
-
-    ``values`` are samples at ``cheb_nodes(k)`` in ascending node order.
-    The transform is the discrete Chebyshev orthogonality sum in which the
-    first and last terms carry weight 1/2, with the n = 0 and n = k-1
-    coefficients halved relative to the interior ones.  A direct O(k^2)
-    sum is used; the orders in play here are far too small for an FFT to
-    pay off.
-    """
-    values = np.asarray(values)
-    k = values.shape[0]
-    if k < 2:
-        raise ValueError("need at least 2 samples")
-    # T_n(x_j) = cos(n * theta_j) with theta_j = pi*(k-j)/(k-1), ascending x
-    theta = np.pi * np.arange(k - 1, -1, -1) / (k - 1.0)
-    tmat = np.cos(np.outer(np.arange(k), theta))  # tmat[n, j] = T_n(x_j)
-    w = np.ones(k)
-    w[0] = 0.5
-    w[-1] = 0.5
-    coeffs = (2.0 / (k - 1.0)) * (tmat @ (w * values))
-    coeffs[0] *= 0.5
-    coeffs[-1] *= 0.5
-    return coeffs
+    """Coefficients a_0..a_{k-1} of the degree-<k interpolant through samples
+    at ``cheb_nodes(k)``, ascending, by the cached map of ``grid(k)``."""
+    return grid(len(values)).coeffs @ values
 
 
 @functools.cache
 def grid(k: int = 12) -> ChebGrid:
     """Return the ChebGrid of order k, built on first use and cached."""
-    g = ChebGrid(k=k, nodes=cheb_nodes(k), diff=diff_matrix(k))
-    g.nodes.setflags(write=False)
-    g.diff.setflags(write=False)
+    nodes = cheb_nodes(k)
+    coeffs = np.linalg.inv(np.polynomial.chebyshev.chebvander(nodes, k - 1))
+    g = ChebGrid(k=k, nodes=nodes, diff=diff_matrix(k), coeffs=coeffs)
+    for table in (g.nodes, g.diff, g.coeffs):
+        table.setflags(write=False)
     return g

@@ -57,11 +57,7 @@ NUDGE_FACTOR = 2.0 ** -46
 
 
 class PanelError(Exception):
-    """No panel estimate (bad samples or solver); ``nevals`` points were sampled."""
-
-    def __init__(self, message: str, nevals: int = 0):
-        super().__init__(message)
-        self.nevals = nevals
+    """No panel estimate (bad samples or solver)."""
 
 
 @dataclass(frozen=True)
@@ -134,14 +130,13 @@ def panel_values(integrand: Integrand, spans, grid: chebyshev.ChebGrid, solver: 
     estimate.  The second apply against conj(f) of a cos or sin kernel is
     decided per span too, so no value bit depends on which spans share the
     pass.  Returns (values, ranks, nevals); a failed span's rank
-    is None, and nevals, the ``nevals`` of each PanelError too, counts
-    every point the pass sampled.
+    is None, and nevals counts every point the pass sampled.
 
     With ``end_terms``, a span's value is instead (T(a), T(b), P(a), P(b),
-    G), for the tail of a semi-infinite domain: T is the kernel's part of
+    G, g), for the tail of a semi-infinite domain: T is the kernel's part of
     p e^{ig}, so the panel estimate is T(b) - T(a), P holds p from each
     solve, (p,) or, with the second solve against conj(f), (p, p_c), and G
-    is the span's row of g' samples.
+    and g are the span's rows of g' and g samples.
     """
     if solver not in linalg.SOLVERS:
         raise ValueError(f"solver must be one of {linalg.SOLVERS}, got {solver!r}")
@@ -247,7 +242,7 @@ def panel_values(integrand: Integrand, spans, grid: chebyshev.ChebGrid, solver: 
                     ps = ((p0, pc0), (p1, pc1))
                     neg = ((pc0 * ea).conjugate(), (pc1 * eb).conjugate())
                 value = (kernel_part(p0 * ea, neg[0]), kernel_part(p1 * eb, neg[1]), *ps,
-                         gprime[i])
+                         gprime[i], gs[i, :, 0])
                 finite = all(map(cmath.isfinite, value[:2] + ps[0] + ps[1]))
             else:
                 finite = cmath.isfinite(value)
@@ -257,7 +252,7 @@ def panel_values(integrand: Integrand, spans, grid: chebyshev.ChebGrid, solver: 
         except linalg.LinalgError as exc:
             failed[i] = str(exc)
     for i, why in failed.items():
-        values[i], ranks[i] = PanelError(why, nevals), None
+        values[i], ranks[i] = PanelError(why), None
     return values, ranks, nevals
 
 

@@ -119,7 +119,7 @@ def adaptive_gauss(fn: Callable[[np.ndarray], np.ndarray], a: float, b: float,
         values, nevals = values.tolist(), xs.size
         for i in bad:
             values[i] = PanelError("non-finite sample or estimate on the panel of"
-                                   f" mid {mids[i]} and half-width {halves[i]}", nevals)
+                                   f" mid {mids[i]} and half-width {halves[i]}")
         return values, nevals
 
     ahead = _SolveAhead(solve, a, b, tol, max(1, PASS_POINTS // (3 * n)))

@@ -2,6 +2,7 @@ import cmath
 import math
 import time
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -296,8 +297,6 @@ def test_config_validation():
 
 def test_concurrent_integrals_match_serial():
     # distinct integrals may run concurrently; results stay bit-identical
-    from concurrent.futures import ThreadPoolExecutor
-
     def job(lam):
         integrand = Integrand(f=lambda x: 1.0 / (1 + x * x),
                               g=lambda x, lam=lam: lam * x * x)
@@ -308,6 +307,24 @@ def test_concurrent_integrals_match_serial():
         parallel = list(pool.map(job, lams))
     serial = [job(lam) for lam in lams]
     assert parallel == serial
+
+
+def test_concurrent_tails_match_serial():
+    # semi-infinite runs: the ladder and the finite part of each stay per run
+    def job(args):
+        lam, kernel = args
+        integrand = Integrand(f=lambda x: 2.0 / x, g=lambda x, lam=lam: lam * x,
+                              kernel=kernel)
+        res = adaptive_integrate(integrand, 1.0, math.inf)
+        return (res.value.real.hex(), res.value.imag.hex(), res.intervals_used, res.fevals,
+                res.status)
+
+    runs = [(lam, "exp") for lam in (1.0, 10.0, 1e3, 1e5)] + [(10.0, "cos")]
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        parallel = list(pool.map(job, runs * 2))
+    serial = [job(run) for run in runs * 2]
+    assert parallel == serial
+    assert {fp[4] for fp in serial} == {"converged"}
 
 
 def one_trio_per_call(integrand, a, b, panels):
@@ -555,6 +572,57 @@ def test_stationary_point_beyond_the_first_doublings_is_kept():
     finite = adaptive_integrate(integrand, 1.0, 1e4)
     assert res.status == finite.status == "converged"
     assert abs(res.value - finite.value) <= 1e-11
+
+
+def _expn(n, z):
+    """E_n(z) by E_{m+1}(z) = (e^{-z} - z E_m(z)) / m from E_1 = exp1."""
+    e = exp1(z)
+    for m in range(1, n):
+        e = (cmath.exp(-z) - z * e) / m
+    return e
+
+
+@pytest.mark.parametrize("g, want", [(np.log, 1 / (1 - 1j)), (np.sqrt, 2 * _expn(3, -1j))],
+                         ids=["log-x", "sqrt-x"])
+def test_tail_whose_g_prime_decays_like_a_power_converges(g, want):
+    # |g'| = 1/x or 1/(2 sqrt(x)) shrinks by the same factor each doubling,
+    # with no stationary point ahead; int_1^inf e^{ig}/x^2 dx is 1/(1 - i)
+    # under log(x) and 2 E_3(-i) under sqrt(x) (x = t^2)
+    res = adaptive_integrate(Integrand(f=lambda x: 1.0 / (x * x), g=g), 1.0, math.inf)
+    assert res.status == "converged"
+    assert abs(res.value - want) <= 1e-11, (res.value, want)
+
+
+@pytest.mark.parametrize("f, g, u, status", [
+    (lambda x: 1.0 / (1.0 + x * x), lambda x: (x - 100.0) ** 2, 128.0, "converged"),
+    # g' = 1/(2 sqrt(x)) - 1/1000 shrinks ever faster toward 2.5e5
+    (lambda x: 1.0 / (x * x), lambda x: np.sqrt(x) - x / 1000.0, 524288.0, "converged"),
+    (lambda x: 1.0 / x, np.log, None, "divergent"),
+    (lambda x: 1.0 + 0.0 * x, lambda x: x, None, "divergent"),
+], ids=["x-100-squared", "sqrt-x-less-x-over-1000", "inv-x-log-x", "1-x"])
+def test_steady_shrink_moves_no_other_tail(monkeypatch, f, g, u, status):
+    # each run ends as it does without the steady rule, to the value bits
+    integrand = Integrand(f=f, g=g)
+
+    def run():
+        res = adaptive_integrate(integrand, 1.0, math.inf)
+        return (adaptive._tail(integrand, 1.0, chebyshev.grid(12), AdaptiveConfig())[0],
+                res.value.real.hex(), res.value.imag.hex(), res.intervals_used,
+                res.fevals, res.status)
+
+    got = run()
+    monkeypatch.setattr(adaptive, "_steady", lambda *args: False)
+    assert got == run()
+    assert (got[0], got[-1]) == (u, status)
+
+
+@pytest.mark.parametrize("x0", [1e4, 1e6])
+def test_far_stationary_point_is_not_a_steady_shrink(x0):
+    # g' = 2(x - x0) shrinks by a factor that changes by about U/x0 a
+    # doubling, above the rounding of the sampled g', so U is taken past x0
+    integrand = Integrand(f=lambda x: 1.0 / (1.0 + x * x), g=lambda x: (x - x0) ** 2)
+    u, _, status, _, _ = adaptive._tail(integrand, 1.0, chebyshev.grid(12), AdaptiveConfig())
+    assert status == "converged" and x0 < u <= 2.0 * x0
 
 
 def test_tail_whose_samples_fail_is_panel_failure():

@@ -110,6 +110,14 @@ def test_coeffs_aliasing_identity_general():
     assert np.abs(coeffs - want).max() <= 1e-13
 
 
+@pytest.mark.parametrize("k", [23, 200])
+def test_coeffs_of_every_t_n_is_its_unit_vector(k):
+    # column n holds the samples of T_n, so the map gives the identity
+    x = chebyshev.cheb_nodes(k)
+    samples = np.column_stack([cheb_t(n, x) for n in range(k)])
+    assert np.abs(chebyshev.cheb_coeffs(samples) - np.eye(k)).max() <= 1e-13
+
+
 def test_eval_roundtrip():
     rng = np.random.default_rng(42)
     k = 12
@@ -189,6 +197,11 @@ def test_grid_cache_identity_and_concurrency():
     for g in grids:
         np.testing.assert_array_equal(g.nodes, ref.nodes)
         np.testing.assert_array_equal(g.diff, ref.diff)
+        np.testing.assert_array_equal(g.coeffs, ref.coeffs)
+    for table in (ref.nodes, ref.diff, ref.coeffs):
+        assert not table.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = 0.0
 
 
 def test_coeffs_rejects_short_input():

@@ -213,7 +213,7 @@ def one_trio_per_call(fn, a, b, panels, tol=1e-15):
         xs = mids[:, None] + halves[:, None] * rule.nodes
         ys = np.asarray(fn(xs.ravel()), dtype=np.complex128)
         values = (halves * (ys.reshape(3, 30) @ rule.weights)).tolist()
-        return [v if cmath.isfinite(v) else PanelError(f"non-finite in [{a0}, {b0}]", 90)
+        return [v if cmath.isfinite(v) else PanelError(f"non-finite in [{a0}, {b0}]")
                 for v in values], 90
 
     solve = record_passes(solve, panels)

@@ -4,9 +4,10 @@ Run from the root of the repository:
 
     python3 tools/fingerprints.py --parent <commit>
 
-Every case of both routes of every workload in ``bench/workloads.py``, at
-seeds 1 and 7, is evaluated once in the work tree and once in a ``git
-archive`` of the parent (extracted to a temporary directory), each side in
+Every case of both routes of every workload in ``bench/workloads.py``, and
+every Levin case of ``reference-table`` once more with ``solver="svd"``
+(route ``levin-svd``), at seeds 1 and 7, is evaluated once in the work tree
+and once in a ``git archive`` of the parent (extracted to a temporary directory), each side in
 its own process with its own ``src/`` and ``bench/`` (nothing is written
 there).  A case's fingerprint is the real and imaginary value bits,
 ``intervals_used``, ``fevals`` and the status.  The two sides run at the
@@ -131,7 +132,9 @@ CLI_RUNS = [
     # Semi-infinite domains, closed by a Levin tail: I3's integrand on both
     # solvers, a cos-kernel tail, a stationary point beyond the first
     # doublings, two tails that never settle, one whose samples fail, and
-    # an infinite lower end and an a too large for a tail, both refused.
+    # an infinite lower end and an a too large for a tail, both refused;
+    # then 1/x^2 under phases whose |g'| decays like a power (log x and
+    # sqrt x) and under one whose |g'| shrinks toward a stationary point.
     *(["integrate", "--f", "2/x", "--g", "lambda*x", "--a", "1", "--b", "inf",
        "--param", "lambda=10", "--solver", solver, "--no-timing"] for solver in ("qr", "svd")),
     ["integrate", "--f", "1/x", "--g", "10*x", "--kernel", "cos", "--a", "1", "--b", "inf",
@@ -141,6 +144,8 @@ CLI_RUNS = [
                    ("sqrt(10-x)", "x"))),
     *(["integrate", "--f", "1/x", "--g", "x", a, "--b", "inf", "--no-timing"]
       for a in ("--a=-inf", "--a=1e308")),
+    *(["integrate", "--f", "1/x^2", "--g", g, "--a", "1", "--b", "inf", "--no-timing"]
+      for g in ("log(x)", "sqrt(x)", "sqrt(x)-x/1000")),
     # Refused before any work.  A commit without the [1, 1000000] bound
     # asks for 8 GB of lambda values (sweep) or a million integrals per
     # range (compare); there the address-space cap refuses the first and
@@ -150,10 +155,11 @@ CLI_RUNS = [
      "--no-timing"],
 ]
 
-# Evaluates every case in the checkout named by argv[1] and prints one JSON
-# list of [workload, seed, route, index, id, params, fingerprint] rows.
+# Evaluates every case in the checkout named by argv[1], and reference-table's
+# Levin cases again on the SVD solver, and prints one JSON list of
+# [workload, seed, route, index, id, params, fingerprint] rows.
 WORKER = """
-import json, sys
+import dataclasses, json, sys
 from pathlib import Path
 checkout = Path(sys.argv[1])
 sys.path[:0] = [str(checkout / "src"), str(checkout / "bench")]
@@ -163,7 +169,10 @@ rows = []
 for name in workloads.WORKLOADS:
     for seed in map(int, sys.argv[2:]):
         levin, oracle = workloads.make_cases(name, seed)
-        for route, cases in (("levin", levin), ("oracle", oracle)):
+        svd = [dataclasses.replace(case, config=oscquad.AdaptiveConfig(eps=case.eps,
+                                                                       solver="svd"))
+               for case in levin] if name == "reference-table" else []
+        for route, cases in (("levin", levin), ("oracle", oracle), ("levin-svd", svd)):
             for i, case in enumerate(cases):
                 r = workloads.evaluate(case)
                 v = complex(r.value)
