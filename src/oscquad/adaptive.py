@@ -10,10 +10,10 @@ running total, otherwise both halves go back on the worklist.  The
 worklist is a LIFO stack, so runs are deterministic.
 
 Both routes solve trios ahead of the driver, in a run-local table: a
-popped interval whose trio is not solved yet is solved together with the
-leftmost intervals the driver is certain to pop next (the halves of
-rejected intervals), one pass of the route's evaluator (a panel_values
-call, or one Gauss call of the integrand) per breadth round.  A pass
+popped interval whose trio is not solved yet (a miss) is solved together
+with the leftmost intervals the driver is certain to pop next (the halves
+of rejected intervals), in one pass of the route's evaluator (a
+panel_values call, or one Gauss call of the integrand) per miss.  A pass
 returns panels, three per interval, and fails a panel alone; only the
 table groups them into trios, fails the trio that holds a failed panel
 and judges each trio, once.  A pop takes the whole panel's value and the
@@ -200,41 +200,37 @@ class _SolveAhead:
         """(v0 or None, accepted, nevals) of [a0, b0], which the driver pops
         now, with the samples this call took.
 
-        An unsolved [a0, b0] is the leftmost interval the driver holds, so
-        it is ``pending[-1]`` if pending at all.  It is solved with the leftmost
-        pending intervals, one pass of ``solve`` per breadth round, until
-        the table holds as many trios as the run has popped.
+        An unsolved [a0, b0] (a miss) is the leftmost interval the driver
+        holds, so it is ``pending[-1]`` if pending at all.  A miss makes one
+        pass of ``solve`` over the leftmost pending intervals, [a0, b0]
+        among them, as many as leave the table no more trios than the run
+        has popped; the pass queues the halves of the trios it rejects.
         """
         self.popped += 1
         pending, solved = self.pending, self.solved
-        nevals = 0
         out = solved.pop((a0, b0), None)
-        if out is None:
-            if not (pending and pending[-1] == (a0, b0)):
-                pending.append((a0, b0))
-            room = self.popped - len(solved)
-            while room and pending:
-                n = min(room, len(pending), self.per_pass)
-                batch = pending[-n:]
-                del pending[-n:]
-                room -= n
-                values, ne = self.solve(batch)
-                nevals += ne
-                trios = zip(values[::3], values[1::3], values[2::3])
-                # right to left, so the halves keep pending leftmost last
-                for (lo, hi), trio in zip(batch, trios):
-                    for v in trio:
-                        if isinstance(v, PanelError):
-                            solved[lo, hi] = (None, False)
-                            break
-                    else:
-                        accepted = accepted_pair_update(*trio, self.eps)
-                        solved[lo, hi] = (trio[0], accepted)
-                        mid = 0.5 * (lo + hi)
-                        if not accepted and mid - lo >= self.floor and hi - mid >= self.floor:
-                            pending += ((mid, hi), (lo, mid))
-            out = solved.pop((a0, b0))
-        return (*out, nevals)
+        if out is not None:
+            return (*out, 0)
+        if not (pending and pending[-1] == (a0, b0)):
+            pending.append((a0, b0))
+        n = min(self.popped - len(solved), len(pending), self.per_pass)
+        batch = pending[-n:]
+        del pending[-n:]
+        values, nevals = self.solve(batch)
+        trios = zip(values[::3], values[1::3], values[2::3])
+        # right to left, so the halves keep pending leftmost last
+        for (lo, hi), trio in zip(batch, trios):
+            for v in trio:
+                if isinstance(v, PanelError):
+                    solved[lo, hi] = (None, False)
+                    break
+            else:
+                accepted = accepted_pair_update(*trio, self.eps)
+                solved[lo, hi] = (trio[0], accepted)
+                mid = 0.5 * (lo + hi)
+                if not accepted and mid - lo >= self.floor and hi - mid >= self.floor:
+                    pending += ((mid, hi), (lo, mid))
+        return (*solved.pop((a0, b0)), nevals)
 
 
 def panel_trio(ahead: _SolveAhead, a0: float, c0: float, b0: float):
@@ -294,9 +290,9 @@ def _tail(integrand: Integrand, a: float, grid: chebyshev.ChebGrid, config: Adap
 
     With no U accepted the status is 'panel_failure' when most spans
     failed, so that the tail's samples or solves stopped it, and
-    'divergent' when most were solved: p never settled, or g' turned or
-    shrank ever faster on every pair.  (The last few spans often fail, where
-    g' or p e^{ig} overflows.)
+    'divergent' when most were solved: p never settled, or g' turned, was
+    0 (so a convergent tail too) or shrank ever faster on every pair.  (The
+    last few spans often fail, where g' or p e^{ig} overflows.)
     """
     lo = max(2.0 * abs(a), 1.0)
     prev = None  # the last span solved: (its left end, its terms or a PanelError)

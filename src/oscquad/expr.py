@@ -4,6 +4,8 @@ The CLI accepts f(x) and g(x) as strings in a small real-valued language:
 numeric literals, the variable ``x``, named parameters, the constants
 ``pi`` and ``e``, the operators ``+ - * / ^`` (with ``^`` binding tighter
 and associating to the right), unary minus, and a fixed set of functions.
+Unary minus binds before ``^``: ``-2^2`` is 4 and ``exp(-x^2)`` is
+exp(+x^2), so -x^2 is written ``0-x^2`` or ``-(x^2)``.
 
 Grammar::
 

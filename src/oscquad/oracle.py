@@ -4,11 +4,11 @@ Cross-validation for the collocation-based integrator.  Panels are plain
 30-point Gauss-Legendre estimates, and each interval is judged by the
 whole-vs-halves comparison of the Levin route, in the same solve-ahead
 table, with the unsplit panel value accumulated on acceptance.  One call
-of ``fn`` samples the three panels of each interval of a breadth round,
-and one (3m, 30) x 30 product sums them, each to the bits of a trio
-sampled on its own; only the table groups the panels into trios and
-judges them.  Nothing numeric is shared with the Levin panels beyond the
-worklist logic and that table, so agreement between the two is
+of ``fn`` per miss of the table samples the three panels of each interval
+of its pass, and one (3m, 30) x 30 product sums them, each to the bits of
+a trio sampled on its own; only the table groups the panels into trios
+and judges them.  Nothing numeric is shared with the Levin panels beyond
+the worklist logic and that table, so agreement between the two is
 meaningful evidence of correctness.
 
 Being oblivious to the oscillator, the cost grows linearly with frequency;
@@ -87,15 +87,15 @@ def adaptive_gauss(fn: Callable[[np.ndarray], np.ndarray], a: float, b: float,
     the reference value does not limit comparisons.  The interval budget
     and width floor are those of the collocation driver.
 
-    Each call of ``fn`` samples 90 points per trio for the trios of a
-    breadth round of the solve-ahead table (``adaptive._SolveAhead``), at
-    most PASS_POINTS points; each panel's points are mid + half * node, as
-    for a trio sampled on its own.  A non-finite sample or estimate fails
-    its panel alone, and the table fails the panel's trio.  ``fevals``
-    counts every sampled point: 90 per processed interval in a converged
-    run (22.80M a pass over the benchmark's reference table at seed 1),
-    and in a run that stops, also the trios sampled ahead and never
-    popped.
+    Each call of ``fn`` samples 90 points per trio for the trios of one
+    pass of the solve-ahead table (``adaptive._SolveAhead``), one pass per
+    miss, at most PASS_POINTS points; each panel's points are
+    mid + half * node, as for a trio sampled on its own.  A non-finite
+    sample or estimate fails its panel alone, and the table fails the
+    panel's trio.  ``fevals`` counts every sampled point: 90 per processed
+    interval in a converged run (22.80M a pass over the benchmark's
+    reference table at seed 1), and in a run that stops, also the trios
+    sampled ahead and never popped.
     """
     check_domain(a, b)
     if not (tol > 0.0 and np.isfinite(tol)):

@@ -6,13 +6,13 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from scipy.special import exp1, sici
+from scipy.special import dawsn, exp1, sici
 
 from oscquad import (AdaptiveConfig, Integrand, PanelError, adaptive, adaptive_gauss,
-                     adaptive_integrate, chebyshev, linalg)
+                     adaptive_integrate, chebyshev, linalg, oracle)
 from oscquad.adaptive import QuadResult, accepted_pair_update
 from oscquad.levin import panel_values
-from oscquad.reference import integrand_for
+from oscquad.reference import integrand_for, oracle_integrand
 from helpers import panel_bits, record_passes
 
 
@@ -483,7 +483,7 @@ def test_solve_ahead_keeps_every_bit_within_a_budget(monkeypatch):
 
 
 def test_solve_ahead_keeps_every_bit_when_passes_are_capped(monkeypatch):
-    # two trios a pass: each breadth round of the table is split in passes
+    # two trios a pass: each miss solves at most two trios
     monkeypatch.setattr(adaptive, "PASS_ENTRIES", 2 * 3 * 12 ** 2)
     passes = _largest_pass(monkeypatch)
     (_, integrand, a, b), = _catalog("I22", {"lambda": 1e5, "m": 20.0})
@@ -491,6 +491,44 @@ def test_solve_ahead_keeps_every_bit_when_passes_are_capped(monkeypatch):
     assert new.status == "converged" and new.fevals == old.fevals
     assert factored_new == factored_old == new.intervals_used
     assert max(passes) == 3 * 2
+
+
+def _record_misses(monkeypatch, module):
+    """Make ``module``'s solve-ahead table record each miss (a pop whose
+    trio it does not hold) and each pass, as (the last miss, its intervals)."""
+    misses, passes = [], []
+    table = adaptive._SolveAhead
+
+    class Recording(table):
+        def __init__(self, solve, *rest):
+            def recorded(intervals):
+                passes.append((misses[-1], list(intervals)))
+                return solve(intervals)
+            super().__init__(recorded, *rest)
+
+        def trio(self, a0, c0, b0):
+            if (a0, b0) not in self.solved:
+                misses.append((a0, b0))
+            return super().trio(a0, c0, b0)
+
+    monkeypatch.setattr(module, "_SolveAhead", Recording)
+    return misses, passes
+
+
+@pytest.mark.parametrize("route, lam, count", [("levin", 1e5, 58), ("gauss", 1e3, 59)])
+def test_each_miss_makes_one_pass_that_holds_it(monkeypatch, route, lam, count):
+    # the table solves ahead only in the pass of a miss, and that pass
+    # holds the popped interval, so there are as many passes as misses
+    misses, passes = _record_misses(monkeypatch, adaptive if route == "levin" else oracle)
+    if route == "levin":
+        (_, integrand, a, b), = _catalog("I22", {"lambda": lam, "m": 20.0})
+        res = adaptive_integrate(integrand, a, b)
+    else:
+        fn, (a, b) = oracle_integrand("I22", {"lambda": lam, "m": 20.0})
+        res = adaptive_gauss(fn, a, b)
+    assert res.status == "converged"
+    assert all(miss in intervals for miss, intervals in passes)
+    assert len(passes) == len(misses) == count
 
 
 @pytest.mark.parametrize("solver", ["qr", "svd"])
@@ -547,6 +585,27 @@ def test_zero_integrand_has_a_zero_tail():
     res = adaptive_integrate(Integrand(f=lambda x: 0.0 * x, g=lambda x: x), -3.0, math.inf)
     spans = 3 + adaptive.TAIL_SPANS
     assert res == QuadResult(0j, spans, 12 * spans, "converged")
+
+
+def test_tail_whose_f_underflows_converges():
+    # the integral is (sqrt(pi)/2) e^{-1/4} + i F(1/2), F Dawson's integral;
+    # U = 8 is taken against [16, 32], where f's samples underflow to 0
+    integrand = Integrand(f=lambda x: np.exp(-x ** 2), g=lambda x: x)
+    grid = chebyshev.grid(12)
+    u, *_ = adaptive._tail(integrand, 0.0, grid, AdaptiveConfig())
+    assert u == 8.0 and (integrand.f(3.0 * u + u * grid.nodes) == 0.0).any()
+    res = adaptive_integrate(integrand, 0.0, math.inf)
+    want = math.sqrt(math.pi) / 2.0 * math.exp(-0.25) + 1j * dawsn(0.5)
+    assert (res.status, res.intervals_used) == ("converged", 57)
+    assert abs(res.value - want) <= 1e-11
+
+
+def test_tail_with_no_oscillation_is_divergent():
+    # g' = 0 fails the g' test on every pair, so a convergent tail (the
+    # integral is 1) is accepted at no U and ends 'divergent' with value 0
+    res = adaptive_integrate(Integrand(f=lambda x: np.exp(-x), g=lambda x: 0.0 * x),
+                             0.0, math.inf)
+    assert res == QuadResult(0j, 1023, 12 * 1023, "divergent")
 
 
 @pytest.mark.parametrize("f, g", [(lambda x: 1.0 + 0.0 * x, lambda x: x),

@@ -47,6 +47,7 @@ def test_unary_minus_binds_before_power():
     # factor := unary ('^' factor)?  puts the sign inside the base
     assert ev("-2^2") == 4.0
     assert ev("0-2^2") == -4.0
+    assert ev("-(2^2)") == -4.0
 
 
 def test_syntax_error_offset():

@@ -163,16 +163,16 @@ def test_nan_region_is_panel_failure_with_the_partial_sum(monkeypatch):
     assert abs(res.value - 0.3) <= 1e-13
     # every processed interval counts, the failed ones too
     assert res.intervals_used == 3 * len(trios)
-    # every call samples whole trios, a breadth round of the table at a
-    # time; no interval here is rejected, only accepted or failed, and the
-    # halves of a failed one are not sampled ahead, so each call is one trio
+    # every call samples whole trios, one pass of the table per miss; no
+    # interval here is rejected, only accepted or failed, and the halves
+    # of a failed one are not sampled ahead, so each call is one trio
     assert res.fevals == sum(sampled)
     assert all(size % 90 == 0 for size in sampled)
     assert len(sampled) == len(trios)
 
 
 def test_trio_samples_each_panel_as_mid_plus_half_times_nodes(monkeypatch):
-    # a call samples the trios of a breadth round, but every point keeps the
+    # a call samples the trios of a pass, but every point keeps the
     # bits of its own panel's mid + half * node: each processed trio's 90
     # points are one 90-point block of one call, and no block is sampled twice
     sampled = []
@@ -327,7 +327,7 @@ def test_lookahead_keeps_every_bit_within_a_budget(monkeypatch):
 
 
 def test_solve_ahead_keeps_every_bit_when_passes_are_capped(monkeypatch):
-    # two trios a call: each breadth round of the table is split in calls
+    # two trios a call: each miss samples at most two trios
     monkeypatch.setattr(oracle, "PASS_POINTS", 2 * 90)
     fn, (a, b) = oracle_integrand("I22", {"lambda": 1e3, "m": 20.0})
     old, new, sampled = _same_run(monkeypatch, fn, a, b)

@@ -134,7 +134,9 @@ CLI_RUNS = [
     # doublings, two tails that never settle, one whose samples fail, and
     # an infinite lower end and an a too large for a tail, both refused;
     # then 1/x^2 under phases whose |g'| decays like a power (log x and
-    # sqrt x) and under one whose |g'| shrinks toward a stationary point.
+    # sqrt x) and under one whose |g'| shrinks toward a stationary point;
+    # last a tail whose f underflows to 0 and one with no oscillation
+    # (g' = 0), which ends 'divergent' though it converges.
     *(["integrate", "--f", "2/x", "--g", "lambda*x", "--a", "1", "--b", "inf",
        "--param", "lambda=10", "--solver", solver, "--no-timing"] for solver in ("qr", "svd")),
     ["integrate", "--f", "1/x", "--g", "10*x", "--kernel", "cos", "--a", "1", "--b", "inf",
@@ -146,6 +148,8 @@ CLI_RUNS = [
       for a in ("--a=-inf", "--a=1e308")),
     *(["integrate", "--f", "1/x^2", "--g", g, "--a", "1", "--b", "inf", "--no-timing"]
       for g in ("log(x)", "sqrt(x)", "sqrt(x)-x/1000")),
+    *(["integrate", "--f", f, "--g", g, "--a", "0", "--b", "inf", "--no-timing"]
+      for f, g in (("exp(-(x^2))", "x"), ("exp(0-x)", "0"))),
     # Refused before any work.  A commit without the [1, 1000000] bound
     # asks for 8 GB of lambda values (sweep) or a million integrals per
     # range (compare); there the address-space cap refuses the first and
