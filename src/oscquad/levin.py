@@ -215,10 +215,11 @@ def panel_values(integrand: Integrand, spans, grid: chebyshev.ChebGrid, solver: 
     fs = fs.reshape(n, k)
     kernel = integrand.kernel
 
-    def kernel_part(e, e_neg):
+    def kernel_part(e, e_conj):
         """The kernel's part of the exp-kernel value e = E(g), given
-        e_neg = E(-g) for a complex f, else None."""
-        if e_neg is not None:
+        E_conj(g) = conj(E(-g)) for a complex f, else None."""
+        if e_conj is not None:
+            e_neg = e_conj.conjugate()
             return 0.5 * (e + e_neg) if kernel == "cos" else (e - e_neg) / 2j
         return e if kernel == "exp" else complex(e.real if kernel == "cos" else e.imag)
 
@@ -228,23 +229,22 @@ def panel_values(integrand: Integrand, spans, grid: chebyshev.ChebGrid, solver: 
         if i in failed:
             continue
         try:
-            # Python complex products round like numpy's scalar ones (module doc)
+            # Python complex products round like numpy's scalar ones (module
+            # doc); ta, tb are p e^{ig} at a and b, and ca, cb p_c e^{ig}
             p0, p1, ranks[i] = endpoints(i, fi)
-            value = p1 * eb - p0 * ea
+            ta, tb = p0 * ea, p1 * eb
+            ca = cb = None
             if want_conj:
                 pc0, pc1, _ = endpoints(i, fi.conj())
-                value = kernel_part(value, (pc1 * eb - pc0 * ea).conjugate())
-            elif kernel != "exp":
-                value = kernel_part(value, None)
+                ca, cb = pc0 * ea, pc1 * eb
             if end_terms:
-                ps, neg = ((p0,), (p1,)), (None, None)
-                if want_conj:
-                    ps = ((p0, pc0), (p1, pc1))
-                    neg = ((pc0 * ea).conjugate(), (pc1 * eb).conjugate())
-                value = (kernel_part(p0 * ea, neg[0]), kernel_part(p1 * eb, neg[1]), *ps,
-                         gprime[i], gs[i, :, 0])
+                ps = ((p0, pc0), (p1, pc1)) if want_conj else ((p0,), (p1,))
+                value = (kernel_part(ta, ca), kernel_part(tb, cb), *ps, gprime[i], gs[i, :, 0])
                 finite = all(map(cmath.isfinite, value[:2] + ps[0] + ps[1]))
             else:
+                value = tb - ta
+                if kernel != "exp":
+                    value = kernel_part(value, cb - ca if want_conj else None)
                 finite = cmath.isfinite(value)
             if not finite:
                 failed[i] = f"non-finite panel estimate on {spans[i].tolist()}"
