@@ -37,12 +37,15 @@ same driver and rails.
 A semi-infinite domain [a, inf) is closed with a Levin tail: p, the
 antiderivative factor of a panel, tends to 0 where the integral converges,
 so the integral over [U, inf) is -p(U) e^{ig(U)} from the panel [U, 2U]
-(Levin, Math. Comp. 38, 1982).  ``_tail`` doubles U until two doublings
-agree on p, |p| falls and |g'| does not shrink, or shrinks by a steady
-factor per doubling (no stationary point ahead); the finite part [a, U]
-then runs through the driver as any finite domain.  A tail accepted at
-no U before 4U overflows ends the run as 'divergent', or as
-'panel_failure' if most of its spans failed.
+(Levin, Math. Comp. 38, 1982).  ``_tail`` doubles U, from a when
+a >= 1/2, until two doublings agree on p, |p| falls and |g'| does not
+shrink, or shrinks by a steady factor per doubling (no stationary point
+ahead); where |g'| grows across the first two, one more pass of rungs
+below the first lets U move down toward the stationary point behind it.
+The finite part [a, U] then runs through the driver as any finite
+domain, and is empty when U = a.  A tail accepted at no U before 4U
+overflows ends the run as 'divergent', or as 'panel_failure' if most of
+its spans failed.
 """
 
 from __future__ import annotations
@@ -62,7 +65,7 @@ MIN_WIDTH_FACTOR = ROUNDOFF
 # Collocation-matrix entries per panel_values pass of the solve-ahead
 # table (at least one trio a pass): 2 MB of matrices, whatever k is.
 PASS_ENTRIES = 2 ** 17
-TAIL_SPANS = 3  # doublings per panel_values pass of a semi-infinite domain's tail
+TAIL_SPANS = 3  # rungs per panel_values pass of a semi-infinite domain's tail
 
 
 @dataclass(frozen=True)
@@ -73,7 +76,9 @@ class AdaptiveConfig:
         Absolute acceptance tolerance of the whole-vs-halves test,
         floored at 16 machine epsilons of the panel values' magnitude.
     k
-        Collocation order per panel, an integer in [4, 200].
+        Collocation order per panel, an integer in [5, 200].  Below 5 the
+        whole-vs-halves test can accept unresolved panels: at k = 4, I4 at
+        lambda = 10 ends 'converged' 3.0e-10 off.
     solver
         'qr' (rank-revealing QR, the fast path) or 'svd' (truncated SVD,
         the verification path).  Both produce the same estimates to well
@@ -88,9 +93,9 @@ class AdaptiveConfig:
         if not (self.eps > 0.0 and np.isfinite(self.eps)):
             raise ValueError("eps must be finite and > 0")
         # an integer (what operator.index takes); k x k arrays cap it at 200
-        if not (hasattr(self.k, "__index__") and 4 <= self.k <= 200):
+        if not (hasattr(self.k, "__index__") and 5 <= self.k <= 200):
             raise ValueError(
-                f"collocation order must be an integer in [4, 200], got {self.k!r}")
+                f"collocation order must be an integer in [5, 200], got {self.k!r}")
         if self.solver not in linalg.SOLVERS:
             raise ValueError(f"solver must be one of {linalg.SOLVERS}, got {self.solver!r}")
 
@@ -238,28 +243,62 @@ def panel_trio(ahead: _SolveAhead, a0: float, c0: float, b0: float):
     return ahead.trio(a0, c0, b0)
 
 
+def _least(span, turn: float, grid: chebyshev.ChebGrid):
+    """(m, r): the least turn * g' on a solved tail span (lo, hi, terms)
+    and the rounding of that sample relative to m, or None unless m > 0.
+
+    A sampled g', the product of D/h with the g samples, is off by about
+    EPS0 (|D| |g|)/h at its node, far more than EPS0 |g'| where |g| is
+    large against h |g'|.
+    """
+    lo, hi, (*_, gprime, g) = span
+    j = int(np.argmin(turn * gprime))
+    m = turn * gprime[j]
+    if not m > 0:
+        return None
+    return m, linalg.EPS0 * (np.abs(grid.diff[j]) @ np.abs(g)) / (0.5 * (hi - lo) * m)
+
+
 def _steady(ladder, turn: float, grid: chebyshev.ChebGrid) -> bool:
     """Whether |g'| shrinks across the last two of three consecutive tail
     spans by no larger factor than across the first two, each span given as
-    (U, terms or a PanelError) and g' of sign ``turn`` on all three.
+    (lo, hi, terms or a PanelError) and g' of sign ``turn`` on all three.
 
     The factors, quotients of the spans' least turn * g', are compared to
-    within ROUNDOFF and the rounding of those samples: a sampled g', the
-    product of D/h with the g samples, is off by about EPS0 (|D| |g|)/h at
-    its node, far more than EPS0 |g'| where |g| is large against h |g'|.
+    within ROUNDOFF and the rounding of those samples (``_least``).
     """
-    least = []
-    for span in ladder:
-        if span is None or isinstance(span[1], PanelError):
-            return False
-        u, (*_, gprime, g) = span
-        j = int(np.argmin(turn * gprime))
-        m = turn * gprime[j]
-        if not m > 0:
-            return False
-        least.append((m, linalg.EPS0 * (np.abs(grid.diff[j]) @ np.abs(g)) / (0.5 * u * m)))
+    least = [None if span is None or isinstance(span[2], PanelError)
+             else _least(span, turn, grid) for span in ladder]
+    if None in least:
+        return False
     (m0, r0), (m1, r1), (m2, r2) = least
     return m2 / m1 >= (m1 / m0) * (1.0 - (ROUNDOFF + r0 + 2.0 * r1 + r2))
+
+
+def _holds(older, prev, this, grid: chebyshev.ChebGrid, eps: float) -> bool:
+    """The tail's pair test: whether the tail may start at the left end of
+    ``prev``, the span below ``this``, with ``older`` the span below
+    ``prev`` or None; each span is (lo, hi, terms or a PanelError)."""
+    if isinstance(prev[2], PanelError) or isinstance(this[2], PanelError):
+        return False
+    (_, _, p0, p1, g0, _), (_, _, q1, q2, g1, _) = prev[2], this[2]
+    sizes = [sum(map(abs, p)) for p in (p0, p1, q1, q2)]
+    turn = 1.0 if g0[0] > 0 else -1.0
+    least = (turn * g0).min()
+    return (sizes[1] <= (1.0 - ROUNDOFF) * sizes[0]
+            and sizes[3] <= (1.0 - ROUNDOFF) * sizes[2]
+            and all(accepted_pair_update(x, y, 0j, eps) for x, y in zip(p1, q1))
+            and least > 0 and ((turn * g1).min() >= least
+                               or _steady((older, prev, this), turn, grid)))
+
+
+def _grows(prev, this, grid: chebyshev.ChebGrid) -> bool:
+    """Whether the least |g'| grows from tail span ``prev`` to ``this``, on
+    both of which g' keeps one sign, by more than the rounding of its
+    samples (``_least``)."""
+    turn = 1.0 if prev[2][4][0] > 0 else -1.0
+    (m0, r0), (m1, r1) = _least(prev, turn, grid), _least(this, turn, grid)
+    return m1 > m0 * (1.0 + ROUNDOFF + r0 + r1)
 
 
 def _tail(integrand: Integrand, a: float, grid: chebyshev.ChebGrid, config: AdaptiveConfig):
@@ -268,16 +307,25 @@ def _tail(integrand: Integrand, a: float, grid: chebyshev.ChebGrid, config: Adap
     samples taken; U is None if no U is accepted before 4U overflows, and
     status then says why.
 
-    The doublings [U, 2U], [2U, 4U], ... from U = max(2|a|, 1) are solved
-    TAIL_SPANS to a ``panel_values`` pass, for their end terms: p, T, the
-    kernel's part of p e^{ig}, and the g' and g samples.  U is accepted when
-    [U, 2U] and [2U, 4U] give the same p(2U) by ``accepted_pair_update``
-    (eps, with its roundoff floor; for each solve of a complex f under cos
-    or sin), |p| falls across both doublings by more than ROUNDOFF, and g'
-    keeps one sign on both, its least size on [2U, 4U] no smaller than on
-    [U, 2U], or, from the second doubling on, smaller by no larger factor
-    than from [U/2, U] to [U, 2U] (``_steady``).  p then tends to 0, and
-    the integral over [U, inf) is -T(U) from [U, 2U].
+    The rungs [U0, 2U0], [2U0, 4U0], ..., with U0 = a when a >= 1/2 and
+    U0 = max(2|a|, 1) otherwise, are solved TAIL_SPANS to a
+    ``panel_values`` pass, for their end terms: p, T, the kernel's part of
+    p e^{ig}, and the g' and g samples.  U is accepted when [U, 2U] and
+    [2U, 4U] give the same p(2U) by ``accepted_pair_update`` (eps, with its
+    roundoff floor; for each solve of a complex f under cos or sin), |p|
+    falls across both rungs by more than ROUNDOFF, and g' keeps one sign on
+    both, its least size on [2U, 4U] no smaller than on [U, 2U], or, when
+    [U/2, U] is solved too, smaller by no larger factor than from [U/2, U]
+    to [U, 2U] (``_steady``); that is ``_holds``.  p then tends to 0, and
+    the integral over [U, inf) is -T(U) from [U, 2U].  U = a leaves no
+    finite part.
+
+    When U0 itself is accepted and the least |g'| grows from [U0, 2U0] to
+    [2U0, 4U0] by more than the rounding of its samples, the stationary
+    point that growth comes from is at or below U0, and the ladder reaches
+    down: one more pass solves up to TAIL_SPANS rungs [U0/2, U0],
+    [U0/4, U0/2], ... (the last clipped at a when a > 0), and U moves down
+    to the left end of each that passes the same test with the rung above.
 
     The g' test is what the tail assumes of the phase beyond U: a local
     solve drops the term C e^{-ig} that a stationary point further out
@@ -294,37 +342,44 @@ def _tail(integrand: Integrand, a: float, grid: chebyshev.ChebGrid, config: Adap
     0 (so a convergent tail too) or shrank ever faster on every pair.  (The
     last few spans often fail, where g' or p e^{ig} overflows.)
     """
-    lo = max(2.0 * abs(a), 1.0)
-    prev = None  # the last span solved: (its left end, its terms or a PanelError)
-    older = None  # the span solved before prev, alike
     spans = nevals = failed = 0
-    while True:
-        ladder = []
-        while len(ladder) < TAIL_SPANS and 2.0 * lo < math.inf:
-            ladder.append((lo, 2.0 * lo))
-            lo *= 2.0
-        if not ladder:
-            status = "panel_failure" if 2 * failed > spans else "divergent"
-            return None, 0j, status, spans, nevals
-        values, _, ne = panel_values(integrand, ladder, grid, config.solver, end_terms=True)
-        spans += len(ladder)
+
+    def solve(rungs):
+        nonlocal spans, nevals, failed
+        values, _, ne = panel_values(integrand, rungs, grid, config.solver, end_terms=True)
+        spans += len(rungs)
         nevals += ne
         failed += sum(isinstance(v, PanelError) for v in values)
-        for (u, _), this in zip(ladder, values):
-            if not (prev is None or isinstance(prev[1], PanelError)
-                    or isinstance(this, PanelError)):
-                (t0, _, p0, p1, g0, _), (_, _, q1, q2, g1, _) = prev[1], this
-                sizes = [sum(map(abs, p)) for p in (p0, p1, q1, q2)]
-                turn = 1.0 if g0[0] > 0 else -1.0
-                least = (turn * g0).min()
-                if (sizes[1] <= (1.0 - ROUNDOFF) * sizes[0]
-                        and sizes[3] <= (1.0 - ROUNDOFF) * sizes[2]
-                        and all(accepted_pair_update(x, y, 0j, config.eps)
-                                for x, y in zip(p1, q1))
-                        and least > 0 and ((turn * g1).min() >= least
-                                           or _steady((older, prev, (u, this)), turn, grid))):
-                    return prev[0], -t0, "converged", spans, nevals
-            older, prev = prev, (u, this)
+        return [(lo, hi, v) for (lo, hi), v in zip(rungs, values)]
+
+    def ascend(lo):
+        """The solved rungs [lo, 2 lo], [2 lo, 4 lo], ... while 4 lo is finite."""
+        while 2.0 * lo < math.inf:
+            rungs = []
+            while len(rungs) < TAIL_SPANS and 2.0 * lo < math.inf:
+                rungs.append((lo, 2.0 * lo))
+                lo *= 2.0
+            yield from solve(rungs)
+
+    u0 = a if a >= 0.5 else max(2.0 * abs(a), 1.0)
+    older = prev = None  # the last two rungs solved, lowest first
+    for this in ascend(u0):
+        if prev is not None and _holds(older, prev, this, grid, config.eps):
+            break
+        older, prev = prev, this
+    else:
+        status = "panel_failure" if 2 * failed > spans else "divergent"
+        return None, 0j, status, spans, nevals
+    if older is None and a < u0 and _grows(prev, this, grid):
+        ends = [u0]
+        while len(ends) <= TAIL_SPANS and ends[-1] > a:
+            ends.append(max(0.5 * ends[-1], a))
+        below = solve(list(zip(ends[1:], ends)))
+        for new, under in zip(below, below[1:] + [None]):
+            if not _holds(under, new, prev, grid, config.eps):
+                break
+            prev = new
+    return prev[0], -prev[2][0], "converged", spans, nevals
 
 
 def adaptive_integrate(integrand: Integrand, a: float, b: float,
@@ -332,10 +387,10 @@ def adaptive_integrate(integrand: Integrand, a: float, b: float,
     """Adaptively evaluate the integral of f * kernel(g) over [a, b].
 
     b may be inf when a is finite: [a, U] is then integrated as a finite
-    domain and the Levin tail beyond U added (``_tail``).  A tail accepted
-    at no U ends the run, with value 0, as 'divergent', or as
-    'panel_failure' when most of its spans failed; an a so large that the
-    tail's first two doublings overflow is a ValueError.
+    domain (none when U = a) and the Levin tail beyond U added
+    (``_tail``).  A tail accepted at no U ends the run, with value 0, as
+    'divergent', or as 'panel_failure' when most of its spans failed; an a
+    so large that 8|a| overflows is a ValueError.
     """
     if config is None:
         config = AdaptiveConfig()
@@ -347,6 +402,8 @@ def adaptive_integrate(integrand: Integrand, a: float, b: float,
         b, tail, status, spans, nevals = _tail(integrand, a, grid, config)
         if b is None:
             return QuadResult(value=0j, intervals_used=spans, fevals=nevals, status=status)
+        if b == a:
+            return QuadResult(value=tail, intervals_used=spans, fevals=nevals, status=status)
     check_domain(a, b)
 
     def solve(intervals):

@@ -281,8 +281,8 @@ def test_config_validation():
             AdaptiveConfig(eps=eps)
     with pytest.raises(ValueError):
         AdaptiveConfig(k=3)
-    # an integer in [4, 200]: k x k arrays, so 10**9 would ask for 8e18 bytes
-    for k in (12.0, 201, 10**9, "12"):
+    # an integer in [5, 200]: k x k arrays, so 10**9 would ask for 8e18 bytes
+    for k in (4, 12.0, 201, 10**9, "12"):
         with pytest.raises(ValueError):
             AdaptiveConfig(k=k)
     assert AdaptiveConfig(k=np.int64(12)).k == 12
@@ -556,16 +556,59 @@ def test_complex_f_tail_under_cos_and_sin():
 
 def test_tail_adds_its_spans_and_samples_to_the_finite_part():
     integrand = Integrand(f=lambda x: 2.0 / x, g=lambda x: 1e3 * x)
-    u, tail, status, spans, nevals = adaptive._tail(integrand, 1.0, chebyshev.grid(12),
+    u, tail, status, spans, nevals = adaptive._tail(integrand, 0.25, chebyshev.grid(12),
                                                     AdaptiveConfig())
-    # accepted at U0 = 2, after one pass of the ladder
-    assert (u, status, spans, nevals) == (2.0, "converged", adaptive.TAIL_SPANS,
+    # accepted at U0 = 1, after one pass of the ladder; g' = 1e3 does not
+    # grow, so no rung below U0 is solved
+    assert (u, status, spans, nevals) == (1.0, "converged", adaptive.TAIL_SPANS,
                                           12 * adaptive.TAIL_SPANS)
-    finite = adaptive_integrate(integrand, 1.0, u)
-    res = adaptive_integrate(integrand, 1.0, math.inf)
+    finite = adaptive_integrate(integrand, 0.25, u)
+    res = adaptive_integrate(integrand, 0.25, math.inf)
     assert res == QuadResult(finite.value + tail, finite.intervals_used + spans,
                              finite.fevals + nevals, "converged")
-    assert abs(res.value - 2.0 * exp1(-1e3j)) <= 1e-12
+    assert abs(res.value - 2.0 * exp1(-250j)) <= 1e-12
+
+
+@pytest.mark.parametrize("lam", [1e3, 1e5, 1e7])
+def test_tail_that_holds_at_a_leaves_no_finite_part(lam):
+    # I3 = 2 int_1^inf e^{i lam x}/x dx: from a >= 1/2 the first rung is
+    # [a, 2a], and the tail holds at U = a, so no interval is processed
+    (_, integrand), = integrand_for("I3", {"lambda": lam})[0]
+    u, tail, status, spans, nevals = adaptive._tail(integrand, 1.0, chebyshev.grid(12),
+                                                    AdaptiveConfig())
+    assert (u, status, spans) == (1.0, "converged", adaptive.TAIL_SPANS)
+    res = adaptive_integrate(integrand, 1.0, math.inf)
+    assert res == QuadResult(tail, spans, nevals, "converged")
+    assert abs(res.value - 2.0 * exp1(-1j * lam)) <= 1e-11
+
+
+@pytest.mark.parametrize("lam", [1.0, 1e3, 1e5, 1e7])
+def test_tail_reaches_below_its_first_rung_where_g_prime_grows(monkeypatch, lam):
+    # int_0^inf e^{i lam x^2} dx = (1/2) sqrt(pi/lam) e^{i pi/4}: |g'| = 2 lam x
+    # grows from [1, 2] to [2, 4], so the stationary point is at or below
+    # U0 = 1, and one more pass of TAIL_SPANS rungs reaches down toward it
+    integrand = Integrand(f=lambda x: 1.0 + 0.0 * x, g=lambda x: lam * x * x)
+    grid = chebyshev.grid(12)
+    res = adaptive_integrate(integrand, 0.0, math.inf)
+    assert res.status == "converged"
+    want = 0.5 * math.sqrt(math.pi / lam) * cmath.exp(0.25j * math.pi)
+    assert abs(res.value - want) <= 1e-11, (res.value, want)
+    u, _, _, spans, _ = adaptive._tail(integrand, 0.0, grid, AdaptiveConfig())
+    monkeypatch.setattr(adaptive, "_grows", lambda *args: False)
+    u_up, _, _, spans_up, _ = adaptive._tail(integrand, 0.0, grid, AdaptiveConfig())
+    assert u <= u_up and spans <= spans_up + adaptive.TAIL_SPANS
+    if lam >= 1e5:
+        assert u < 1.0 == u_up and spans == spans_up + adaptive.TAIL_SPANS
+
+
+@pytest.mark.parametrize("lam", [10.0, 1e3])
+def test_tail_whose_g_prime_does_not_grow_keeps_its_first_rung(lam):
+    # g' = lam is constant: U = U0 = 1, with [0, 1] one trio, as before the
+    # ladder could reach below U0; the integral is 1/(1 - i lam)
+    res = adaptive_integrate(Integrand(f=lambda x: np.exp(-x), g=lambda x: lam * x),
+                             0.0, math.inf)
+    assert (res.status, res.intervals_used) == ("converged", 3 + adaptive.TAIL_SPANS)
+    assert abs(res.value - 1.0 / (1.0 - 1j * lam)) <= 1e-12
 
 
 def test_tail_that_overflows_the_sum_is_overflow(monkeypatch):
@@ -612,11 +655,12 @@ def test_tail_with_no_oscillation_is_divergent():
                                   (lambda x: 1.0 / x, np.log)], ids=["1-x", "inv-x-log-x"])
 def test_tail_that_never_settles_is_divergent(f, g):
     # p' + i g' p = f has p = -i in both, and no solution tends to 0: the
-    # integrals diverge.  Every doubling up to the largest float is tried.
+    # integrals diverge.  Every rung from [a, 2a] = [1, 2] up to the largest
+    # float is tried.
     t0 = time.perf_counter()
     res = adaptive_integrate(Integrand(f=f, g=g), 1.0, math.inf)
     assert time.perf_counter() - t0 < 1.0
-    assert res == QuadResult(0j, 1022, 12 * 1022, "divergent")
+    assert res == QuadResult(0j, 1023, 12 * 1023, "divergent")
 
 
 def test_stationary_point_beyond_the_first_doublings_is_kept():
@@ -685,10 +729,11 @@ def test_far_stationary_point_is_not_a_steady_shrink(x0):
 
 
 def test_tail_whose_samples_fail_is_panel_failure():
-    # sqrt(10 - x) is NaN beyond 10: all but two of the spans fail
+    # sqrt(10 - x) is NaN beyond 10: all but three of the 1023 rungs from
+    # [1, 2] fail
     res = adaptive_integrate(Integrand(f=lambda x: np.sqrt(10.0 - x), g=lambda x: x),
                              1.0, math.inf)
-    assert res == QuadResult(0j, 1022, res.fevals, "panel_failure")
+    assert res == QuadResult(0j, 1023, res.fevals, "panel_failure")
 
 
 @pytest.mark.parametrize("a", [4.5e307, -4.5e307, 1.7e308])
@@ -696,7 +741,8 @@ def test_a_too_large_for_a_tail_is_refused(a):
     # [2|a|, 8|a|] overflows, so the tail has no two doublings to compare
     with pytest.raises(ValueError, match="too large for a tail"):
         adaptive_integrate(Integrand(f=lambda x: 1.0 / x, g=lambda x: x), a, math.inf)
-    # a = 2.2e307 is taken: its two spans are solved, and fail where g' overflows
+    # a = 2.2e307 is taken: its three rungs from [a, 2a] are solved, and fail
+    # where g' overflows
     res = adaptive_integrate(Integrand(f=lambda x: 1.0 / (x * x), g=lambda x: x), 2.2e307,
                              math.inf)
-    assert (res.intervals_used, res.status) == (2, "panel_failure")
+    assert (res.intervals_used, res.status) == (3, "panel_failure")

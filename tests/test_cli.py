@@ -223,6 +223,7 @@ BAD_INPUTS = [
     ["compare", "--paper-integral", "I6", "--ranges", "0:10"],
     ["compare", "--paper-integral", "I6", "--ranges", "10:1"],
     ["integrate", "--paper-integral", "I1", "--param", "lambda=2", "--k", "3"],
+    ["integrate", "--paper-integral", "I1", "--param", "lambda=2", "--k", "4"],
     ["integrate", "--paper-integral", "I1", "--param", "lambda=2", "--eps", "0"],
     ["integrate", "--paper-integral", "I1", "--param", "lambda=1000", "--eps", "inf"],
     ["integrate", "--paper-integral", "I21", "--param", "kappa=inf", "--param", "m=2",

@@ -175,17 +175,18 @@ def test_levin_matches_every_closed_form(id):
         assert err <= 1e-10, (id, lam, err)
 
 
-@pytest.mark.parametrize("k", [8, 16, 24])
+@pytest.mark.parametrize("k", [5, 8, 16, 24])
 @pytest.mark.parametrize("id, lam", [*(("I1", lam) for lam in (10.0, 1e3, 1e5)),
                                      *(("I4", lam) for lam in (10.0, 1e3, 1e5)),
                                      ("I3", 10.0)])
 def test_closed_forms_at_other_collocation_orders(k, id, lam):
-    # Criterion 1's bound at orders other than its k = 12; I3 runs through
-    # the tail.  At eps 1e-12 the largest error of this grid is 1.6e-12 (I4
-    # at lambda = 10, k = 8), and intervals fall as k grows (I1 at lambda =
-    # 100: 21 / 21 / 9 at k = 12 / 16 / 24; I3: 84 / 12 / 6; I4 at 1e3:
-    # 45 / 9 / 3).  k = 4 is not trusted: I4 is 3.9e-11 off at lambda = 1e3
-    # and 3.0e-10 off at lambda = 10 (in 567,801 intervals), both reported
+    # Criterion 1's bound at orders other than its k = 12, down to the
+    # lowest accepted one; I3 runs through the tail.  At eps 1e-12 the
+    # largest error of this grid is 1.8e-11 (I4 at lambda = 10, k = 5; 1.6e-12
+    # from k = 8 up), and intervals fall as k grows (I1 at lambda = 100:
+    # 21 / 21 / 9 at k = 12 / 16 / 24; I3: 84 / 12 / 6; I4 at 1e3:
+    # 45 / 9 / 3).  k = 4 is refused: I4 is 3.9e-11 off at lambda = 1e3 and
+    # 3.0e-10 off at lambda = 10 (in 567,801 intervals), both reported
     # 'converged'.
     res = evaluate_levin(id, {"lambda": lam}, adaptive.AdaptiveConfig(eps=1e-12, k=k))
     assert res.status == "converged"

@@ -136,9 +136,11 @@ CLI_RUNS = [
     # then 1/x^2 under phases whose |g'| decays like a power (log x and
     # sqrt x) and under one whose |g'| shrinks toward a stationary point;
     # then a tail whose f underflows to 0 and one with no oscillation
-    # (g' = 0), which ends 'divergent' though it converges; last a complex
+    # (g' = 0), which ends 'divergent' though it converges; then a complex
     # f under the cos and sin kernels, whose tail takes the end terms of the
-    # second solve against conj(f).
+    # second solve against conj(f); last a tail whose |g'| grows from its
+    # first rung [1, 2], so that it reaches down toward the stationary
+    # point at 0, and one whose |g'| does not grow and keeps that rung.
     *(["integrate", "--f", "2/x", "--g", "lambda*x", "--a", "1", "--b", "inf",
        "--param", "lambda=10", "--solver", solver, "--no-timing"] for solver in ("qr", "svd")),
     ["integrate", "--f", "1/x", "--g", "10*x", "--kernel", "cos", "--a", "1", "--b", "inf",
@@ -154,6 +156,8 @@ CLI_RUNS = [
       for f, g in (("exp(-(x^2))", "x"), ("exp(0-x)", "0"))),
     *(["integrate", "--f", "1/x", "--f-imag", "2/x", "--g", "10*x", "--a", "1", "--b", "inf",
        "--kernel", kernel, "--no-timing"] for kernel in ("cos", "sin")),
+    *(["integrate", "--f", f, "--g", g, "--a", "0", "--b", "inf", "--no-timing"]
+      for f, g in (("1", "1000*x^2"), ("exp(0-x)", "1000*x"))),
     # Refused before any work.  A commit without the [1, 1000000] bound
     # asks for 8 GB of lambda values (sweep) or a million integrals per
     # range (compare); there the address-space cap refuses the first and
