@@ -42,10 +42,12 @@ a >= 1/2, until two doublings agree on p, |p| falls and |g'| does not
 shrink, or shrinks by a steady factor per doubling (no stationary point
 ahead); where |g'| grows across the first two, one more pass of rungs
 below the first lets U move down toward the stationary point behind it.
-The finite part [a, U] then runs through the driver as any finite
-domain, and is empty when U = a.  A tail accepted at no U before 4U
+``_tail`` returns the tail as a QuadResult of its own; the finite part
+[a, U] then runs through the driver as any finite domain and is added to
+it once, and is empty when U = a.  A tail accepted at no U before 4U
 overflows ends the run as 'divergent', or as 'panel_failure' if most of
-its spans failed.
+its spans failed; an a whose first pair of rungs already overflows is
+refused.
 """
 
 from __future__ import annotations
@@ -302,10 +304,12 @@ def _grows(prev, this, grid: chebyshev.ChebGrid) -> bool:
 
 
 def _tail(integrand: Integrand, a: float, grid: chebyshev.ChebGrid, config: AdaptiveConfig):
-    """(U, tail, status, spans, nevals): where the finite part of [a, inf)
-    ends and the Levin tail beyond it, with the spans solved and the
-    samples taken; U is None if no U is accepted before 4U overflows, and
-    status then says why.
+    """(U, tail): where the finite part of [a, inf) ends, and the Levin
+    tail beyond it as a QuadResult, whose ``intervals_used`` counts the
+    spans solved and ``fevals`` the samples taken.  U is None if no U is
+    accepted before 4U overflows; the tail's value is then 0 and its
+    status says why.  An a whose first pair of rungs overflows, so that
+    4U0 is inf, is a ValueError naming [U0, 4U0].
 
     The rungs [U0, 2U0], [2U0, 4U0], ..., with U0 = a when a >= 1/2 and
     U0 = max(2|a|, 1) otherwise, are solved TAIL_SPANS to a
@@ -362,6 +366,8 @@ def _tail(integrand: Integrand, a: float, grid: chebyshev.ChebGrid, config: Adap
             yield from solve(rungs)
 
     u0 = a if a >= 0.5 else max(2.0 * abs(a), 1.0)
+    if not 4.0 * u0 < math.inf:
+        raise ValueError(f"a = {a} is too large for a tail: [U0, 4U0] = [{u0}, inf] overflows")
     older = prev = None  # the last two rungs solved, lowest first
     for this in ascend(u0):
         if prev is not None and _holds(older, prev, this, grid, config.eps):
@@ -369,7 +375,7 @@ def _tail(integrand: Integrand, a: float, grid: chebyshev.ChebGrid, config: Adap
         older, prev = prev, this
     else:
         status = "panel_failure" if 2 * failed > spans else "divergent"
-        return None, 0j, status, spans, nevals
+        return None, QuadResult(0j, spans, nevals, status)
     if older is None and a < u0 and _grows(prev, this, grid):
         ends = [u0]
         while len(ends) <= TAIL_SPANS and ends[-1] > a:
@@ -379,31 +385,34 @@ def _tail(integrand: Integrand, a: float, grid: chebyshev.ChebGrid, config: Adap
             if not _holds(under, new, prev, grid, config.eps):
                 break
             prev = new
-    return prev[0], -prev[2][0], "converged", spans, nevals
+    return prev[0], QuadResult(-prev[2][0], spans, nevals, "converged")
 
 
 def adaptive_integrate(integrand: Integrand, a: float, b: float,
                        config: AdaptiveConfig | None = None) -> QuadResult:
     """Adaptively evaluate the integral of f * kernel(g) over [a, b].
 
-    b may be inf when a is finite: [a, U] is then integrated as a finite
-    domain (none when U = a) and the Levin tail beyond U added
-    (``_tail``).  A tail accepted at no U ends the run, with value 0, as
-    'divergent', or as 'panel_failure' when most of its spans failed; an a
-    so large that 8|a| overflows is a ValueError.
+    b may be inf when a is finite: the Levin tail beyond U (``_tail``) is
+    then the result, with [a, U] integrated as a finite domain and added
+    to it first (none when U = a); a sum that overflows keeps the finite
+    part's value as 'overflow'.  A tail accepted at no U ends the run, with
+    value 0, as 'divergent', or as 'panel_failure' when most of its spans
+    failed; an a so large that the tail's first pair of rungs
+    [U0, 2U0], [2U0, 4U0] overflows is a ValueError.
     """
     if config is None:
         config = AdaptiveConfig()
     grid = chebyshev.grid(config.k)
-    tail = None
     if b == math.inf and math.isfinite(a):
-        if not 8.0 * max(abs(a), 0.5) < math.inf:
-            raise ValueError(f"a = {a} is too large for a tail: [2|a|, 8|a|] overflows")
-        b, tail, status, spans, nevals = _tail(integrand, a, grid, config)
-        if b is None:
-            return QuadResult(value=0j, intervals_used=spans, fevals=nevals, status=status)
-        if b == a:
-            return QuadResult(value=tail, intervals_used=spans, fevals=nevals, status=status)
+        u, tail = _tail(integrand, a, grid, config)
+        if u is None or u == a:
+            return tail
+        res = adaptive_integrate(integrand, a, u, config)
+        value, status = res.value + tail.value, res.status
+        if not cmath.isfinite(value):
+            value, status = res.value, "overflow"
+        return QuadResult(value, res.intervals_used + tail.intervals_used,
+                          res.fevals + tail.fevals, status)
     check_domain(a, b)
 
     def solve(intervals):
@@ -415,11 +424,4 @@ def adaptive_integrate(integrand: Integrand, a: float, b: float,
         return values, nevals
 
     ahead = _SolveAhead(solve, a, b, config.eps, max(1, PASS_ENTRIES // (3 * config.k ** 2)))
-    res = _run_worklist(lambda *t: panel_trio(ahead, *t), a, b)
-    if tail is None:
-        return res
-    value, status = res.value + tail, res.status
-    if not cmath.isfinite(value):
-        value, status = res.value, "overflow"
-    return QuadResult(value=value, intervals_used=res.intervals_used + spans,
-                      fevals=res.fevals + nevals, status=status)
+    return _run_worklist(lambda *t: panel_trio(ahead, *t), a, b)

@@ -19,12 +19,12 @@ while the command runs: an expression that does not parse, a catalog
 parameter that is missing, not finite, out of its domain or not taken by
 the integral, a catalog id with any expression flag, a domain of infinite
 width other than --b inf with a finite --a (closed by a Levin tail; an
---a whose 8|a| overflows is refused too), an infinite end on the Gauss
-route (``compare`` of I2 or I3), a tolerance or
-order ``AdaptiveConfig`` rejects, an --out path that cannot be opened
-(tried before any work), or an expression nested too deeply to parse or
-evaluate.  ``main`` prints the message to stderr and
-returns the code instead of raising.  All floating-point output is
+--a whose tail's first pair of rungs [U0, 4U0] overflows is refused
+too), an infinite end on the Gauss route (``compare`` of I2 or I3), a
+tolerance or order ``AdaptiveConfig`` rejects, an --out path that cannot
+be opened (tried before any work), or an expression nested too deeply to
+parse or evaluate.  ``main`` prints the message to stderr and returns the
+code instead of raising.  All floating-point output is
 rendered with 17 significant digits so values round-trip exactly.
 """
 

@@ -162,13 +162,11 @@ CHECKS = [
 ]
 
 
-def run(filter: str | None = None, out=None) -> int:
+def run(filter: str | None = None) -> int:
     """Run the suite, print one line per check, return the failure count.
 
     A ``filter`` that is in the name of no check is a ValueError.
     """
-    import sys
-    out = out or sys.stdout
     checks = [(name, fn) for name, fn in CHECKS if not filter or filter in name]
     if not checks:
         raise ValueError(f"no self-test check name contains {filter!r}")
@@ -178,7 +176,7 @@ def run(filter: str | None = None, out=None) -> int:
             fn()
         except Exception as exc:  # report and keep going
             failures += 1
-            print(f"FAIL {name}: {exc}", file=out)
+            print(f"FAIL {name}: {exc}")
         else:
-            print(f"PASS {name}", file=out)
+            print(f"PASS {name}")
     return failures

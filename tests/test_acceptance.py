@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the measured
 numbers next to each bound.  Tolerances are fixed here, not calibrated.
 """
 
+import contextlib
 import io
 import time
 
@@ -169,7 +170,8 @@ def test_criterion_6_modal_green_function():
 def test_criterion_7_property_suites():
     out = io.StringIO()
     t0 = time.perf_counter()
-    failures = selftest.run(out=out)
+    with contextlib.redirect_stdout(out):
+        failures = selftest.run()
     elapsed = time.perf_counter() - t0
     text = out.getvalue()
     names = ("chebyshev.diff_exactness", "chebyshev.aliasing",

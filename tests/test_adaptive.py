@@ -556,16 +556,16 @@ def test_complex_f_tail_under_cos_and_sin():
 
 def test_tail_adds_its_spans_and_samples_to_the_finite_part():
     integrand = Integrand(f=lambda x: 2.0 / x, g=lambda x: 1e3 * x)
-    u, tail, status, spans, nevals = adaptive._tail(integrand, 0.25, chebyshev.grid(12),
-                                                    AdaptiveConfig())
+    u, tail = adaptive._tail(integrand, 0.25, chebyshev.grid(12), AdaptiveConfig())
     # accepted at U0 = 1, after one pass of the ladder; g' = 1e3 does not
     # grow, so no rung below U0 is solved
-    assert (u, status, spans, nevals) == (1.0, "converged", adaptive.TAIL_SPANS,
-                                          12 * adaptive.TAIL_SPANS)
+    assert (u, tail.status, tail.intervals_used, tail.fevals) == (
+        1.0, "converged", adaptive.TAIL_SPANS, 12 * adaptive.TAIL_SPANS)
     finite = adaptive_integrate(integrand, 0.25, u)
     res = adaptive_integrate(integrand, 0.25, math.inf)
-    assert res == QuadResult(finite.value + tail, finite.intervals_used + spans,
-                             finite.fevals + nevals, "converged")
+    assert res == QuadResult(finite.value + tail.value,
+                             finite.intervals_used + tail.intervals_used,
+                             finite.fevals + tail.fevals, "converged")
     assert abs(res.value - 2.0 * exp1(-250j)) <= 1e-12
 
 
@@ -574,11 +574,10 @@ def test_tail_that_holds_at_a_leaves_no_finite_part(lam):
     # I3 = 2 int_1^inf e^{i lam x}/x dx: from a >= 1/2 the first rung is
     # [a, 2a], and the tail holds at U = a, so no interval is processed
     (_, integrand), = integrand_for("I3", {"lambda": lam})[0]
-    u, tail, status, spans, nevals = adaptive._tail(integrand, 1.0, chebyshev.grid(12),
-                                                    AdaptiveConfig())
-    assert (u, status, spans) == (1.0, "converged", adaptive.TAIL_SPANS)
+    u, tail = adaptive._tail(integrand, 1.0, chebyshev.grid(12), AdaptiveConfig())
+    assert (u, tail.status, tail.intervals_used) == (1.0, "converged", adaptive.TAIL_SPANS)
     res = adaptive_integrate(integrand, 1.0, math.inf)
-    assert res == QuadResult(tail, spans, nevals, "converged")
+    assert res == tail
     assert abs(res.value - 2.0 * exp1(-1j * lam)) <= 1e-11
 
 
@@ -593,9 +592,10 @@ def test_tail_reaches_below_its_first_rung_where_g_prime_grows(monkeypatch, lam)
     assert res.status == "converged"
     want = 0.5 * math.sqrt(math.pi / lam) * cmath.exp(0.25j * math.pi)
     assert abs(res.value - want) <= 1e-11, (res.value, want)
-    u, _, _, spans, _ = adaptive._tail(integrand, 0.0, grid, AdaptiveConfig())
+    u, tail = adaptive._tail(integrand, 0.0, grid, AdaptiveConfig())
     monkeypatch.setattr(adaptive, "_grows", lambda *args: False)
-    u_up, _, _, spans_up, _ = adaptive._tail(integrand, 0.0, grid, AdaptiveConfig())
+    u_up, tail_up = adaptive._tail(integrand, 0.0, grid, AdaptiveConfig())
+    spans, spans_up = tail.intervals_used, tail_up.intervals_used
     assert u <= u_up and spans <= spans_up + adaptive.TAIL_SPANS
     if lam >= 1e5:
         assert u < 1.0 == u_up and spans == spans_up + adaptive.TAIL_SPANS
@@ -614,7 +614,7 @@ def test_tail_whose_g_prime_does_not_grow_keeps_its_first_rung(lam):
 def test_tail_that_overflows_the_sum_is_overflow(monkeypatch):
     # the finite part's value is kept, with the tail's spans and samples
     monkeypatch.setattr(adaptive, "_tail",
-                        lambda *args: (1.0, 1.797e308 + 0j, "converged", 3, 36))
+                        lambda *args: (1.0, QuadResult(1.797e308 + 0j, 3, 36, "converged")))
     integrand = Integrand(f=lambda x: np.full_like(x, 1e306), g=lambda x: x)
     finite = adaptive_integrate(integrand, 0.0, 1.0)
     assert finite.status == "converged"
@@ -635,7 +635,7 @@ def test_tail_whose_f_underflows_converges():
     # U = 8 is taken against [16, 32], where f's samples underflow to 0
     integrand = Integrand(f=lambda x: np.exp(-x ** 2), g=lambda x: x)
     grid = chebyshev.grid(12)
-    u, *_ = adaptive._tail(integrand, 0.0, grid, AdaptiveConfig())
+    u, _ = adaptive._tail(integrand, 0.0, grid, AdaptiveConfig())
     assert u == 8.0 and (integrand.f(3.0 * u + u * grid.nodes) == 0.0).any()
     res = adaptive_integrate(integrand, 0.0, math.inf)
     want = math.sqrt(math.pi) / 2.0 * math.exp(-0.25) + 1j * dawsn(0.5)
@@ -668,8 +668,8 @@ def test_stationary_point_beyond_the_first_doublings_is_kept():
     # falls, but a local solve drops the stationary point's contribution
     # (about f(100) sqrt(pi) = 1.8e-4), so U is taken past x = 100
     integrand = Integrand(f=lambda x: 1.0 / (1.0 + x * x), g=lambda x: (x - 100.0) ** 2)
-    u, _, status, _, _ = adaptive._tail(integrand, 1.0, chebyshev.grid(12), AdaptiveConfig())
-    assert status == "converged" and u > 100.0
+    u, tail = adaptive._tail(integrand, 1.0, chebyshev.grid(12), AdaptiveConfig())
+    assert tail.status == "converged" and u > 100.0
     res = adaptive_integrate(integrand, 1.0, math.inf)
     # beyond 1e4 the integral is below f/g' = 5e-13
     finite = adaptive_integrate(integrand, 1.0, 1e4)
@@ -724,8 +724,8 @@ def test_far_stationary_point_is_not_a_steady_shrink(x0):
     # g' = 2(x - x0) shrinks by a factor that changes by about U/x0 a
     # doubling, above the rounding of the sampled g', so U is taken past x0
     integrand = Integrand(f=lambda x: 1.0 / (1.0 + x * x), g=lambda x: (x - x0) ** 2)
-    u, _, status, _, _ = adaptive._tail(integrand, 1.0, chebyshev.grid(12), AdaptiveConfig())
-    assert status == "converged" and x0 < u <= 2.0 * x0
+    u, tail = adaptive._tail(integrand, 1.0, chebyshev.grid(12), AdaptiveConfig())
+    assert tail.status == "converged" and x0 < u <= 2.0 * x0
 
 
 def test_tail_whose_samples_fail_is_panel_failure():
@@ -738,11 +738,14 @@ def test_tail_whose_samples_fail_is_panel_failure():
 
 @pytest.mark.parametrize("a", [4.5e307, -4.5e307, 1.7e308])
 def test_a_too_large_for_a_tail_is_refused(a):
-    # [2|a|, 8|a|] overflows, so the tail has no two doublings to compare
-    with pytest.raises(ValueError, match="too large for a tail"):
+    # 4 U0 overflows (U0 = a from a >= 1/2, 2|a| below), so the tail has no
+    # first pair of rungs [U0, 2U0], [2U0, 4U0] to compare
+    with pytest.raises(ValueError, match=r"too large for a tail: \[U0, 4U0\] = "):
         adaptive_integrate(Integrand(f=lambda x: 1.0 / x, g=lambda x: x), a, math.inf)
     # a = 2.2e307 is taken: its three rungs from [a, 2a] are solved, and fail
-    # where g' overflows
-    res = adaptive_integrate(Integrand(f=lambda x: 1.0 / (x * x), g=lambda x: x), 2.2e307,
-                             math.inf)
-    assert (res.intervals_used, res.status) == (3, "panel_failure")
+    # where g' overflows; from 3e307 and 4.4e307 only the first pair is
+    # finite, and both of its rungs fail
+    for a, spans in ((2.2e307, 3), (3e307, 2), (4.4e307, 2)):
+        res = adaptive_integrate(Integrand(f=lambda x: 1.0 / (x * x), g=lambda x: x), a,
+                                 math.inf)
+        assert (res.intervals_used, res.status) == (spans, "panel_failure")

@@ -1,5 +1,7 @@
 import cmath
+import contextlib
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -8,7 +10,7 @@ import warnings
 
 import pytest
 
-from oscquad import adaptive, chebyshev, selftest
+from oscquad import adaptive, chebyshev, reference, selftest
 from oscquad.cli import main
 
 
@@ -201,7 +203,8 @@ def test_selftest_injected_fault_fails(capsys, monkeypatch):
     assert code == 1
     assert "FAIL chebyshev.diff_exactness" in out
     monkeypatch.undo()
-    assert selftest.run(out=io.StringIO()) == 0
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert selftest.run() == 0
 
 
 # A --param that names the swept or gridded parameter, or a grid over the
@@ -427,6 +430,22 @@ def test_nonconverged_compare_run_exits_1(monkeypatch, capsys):
     assert code == 1
     (row,) = csv.DictReader(io.StringIO(out))
     assert list(row) == next(csv.reader(io.StringIO(want)))
+
+
+def test_compare_exits_1_when_only_the_gauss_route_does_not_converge(monkeypatch, capsys):
+    # every Levin run converges, so the reference's status alone sets the code
+    argv = ["compare", "--paper-integral", "I6", "--ranges", "1:10", "--samples", "2",
+            "--no-timing"]
+    code, want, _ = run_cli(argv, capsys)
+    assert code == 0
+    original = reference.evaluate_oracle
+
+    def evaluate_oracle(*args, **kwargs):
+        return dataclasses.replace(original(*args, **kwargs), status="budget_exhausted")
+
+    monkeypatch.setattr(reference, "evaluate_oracle", evaluate_oracle)
+    code, out, _ = run_cli(argv, capsys)
+    assert (code, out) == (1, want)
 
 
 @pytest.mark.parametrize("argv", [

@@ -237,18 +237,43 @@ def _bad_on_region(x):
     return (x > 0.3) & (x < 0.4)
 
 
+def _raising(fn, marked):
+    """``fn``, raising LinalgError on the arguments that ``marked`` picks."""
+
+    def wrapper(*args):
+        if marked(*args):
+            raise linalg.LinalgError("injected failure")
+        return fn(*args)
+
+    return wrapper
+
+
 @pytest.mark.parametrize("solver", ("qr", "svd"))
-@pytest.mark.parametrize("f, g, why", [
+@pytest.mark.parametrize("f, g, why, raises", [
     (lambda x: np.where(_bad_on_region(x), np.nan, 1.0), lambda x: 40.0 * x,
-     "non-finite sample in [[{}, {}]] after nudge"),
+     "non-finite sample in [[{}, {}]] after nudge", None),
     # g overflows to inf on the region, endpoint phases included
     (const_one, lambda x: 40.0 * x + np.exp(np.where(_bad_on_region(x), 1000.0, 0.0)),
-     "non-finite sample in [[{}, {}]] after nudge"),
+     "non-finite sample in [[{}, {}]] after nudge", None),
     # finite samples and matrices, but the estimate overflows
     (lambda x: np.where(_bad_on_region(x), 1e308, 1.0), lambda x: 40.0 * x,
-     "non-finite panel estimate on [{}, {}]"),
-], ids=("nan-f", "inf-g", "overflowing-estimate"))
-def test_failed_span_leaves_every_other_span_of_its_pass(f, g, why, solver):
+     "non-finite panel estimate on [{}, {}]", None),
+    # the factorization raises where g jumps by 1 on the region, so that
+    # g', the imaginary diagonal of the matrix, is far from 40
+    (const_one, lambda x: 40.0 * x + np.where(_bad_on_region(x), 1.0, 0.0),
+     "injected failure",
+     (("qr_factor", "svd"), lambda a, *_: np.abs(a.diagonal().imag - 40.0).max() > 1.0)),
+    # the solve raises where f is 2
+    (lambda x: np.where(_bad_on_region(x), 2.0, 1.0), lambda x: 40.0 * x,
+     "injected failure",
+     (("qr_solve", "qr_apply", "tsvd_apply"), lambda factors, y, *_: (y == 2.0).any())),
+], ids=("nan-f", "inf-g", "overflowing-estimate", "factorization-raises", "solve-raises"))
+def test_failed_span_leaves_every_other_span_of_its_pass(monkeypatch, f, g, why, raises,
+                                                         solver):
+    if raises is not None:
+        names, marked = raises
+        for name in names:
+            monkeypatch.setattr(linalg, name, _raising(getattr(linalg, name), marked))
     integrand = Integrand(f=f, g=g)
     grid = chebyshev.grid(12)
     # a bad span between good ones in one trio slot, an all-good trio, an all-bad one

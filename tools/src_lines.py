@@ -2,11 +2,9 @@
 
 Run from the root of the repository:
 
-    python3 tools/src_lines.py [--root DIR]
+    python3 tools/src_lines.py [--parent COMMIT]
 
-``--root`` names another checkout (for example a ``git archive`` of a
-parent commit) whose ``src/oscquad`` is counted instead.  Every line of a
-module falls in exactly one class:
+Every line of a module falls in exactly one class:
 
 - docstring: a line of the docstring of the module, a class or a function
   (the string that is the first statement of its body), blank lines
@@ -15,13 +13,20 @@ module falls in exactly one class:
 - blank: any other line that holds only whitespace;
 - code: every other line, so a code line that ends in a comment is code.
 
-The tool prints one row per module in name order, then the total.  Its
-output depends only on the files.
+The tool prints one row per module in name order, then the total.  With
+``--parent``, the ``src/oscquad`` of that commit is read from
+``git archive`` (nothing is written), and each row also gives the
+commit's code lines and the change from them to the work tree's; a module
+on one side only counts 0 lines on the other.  Its output depends only on
+the files.
 """
 
 import argparse
 import ast
-from pathlib import Path
+import io
+import subprocess
+import tarfile
+from pathlib import Path, PurePosixPath
 
 ROOT = Path(__file__).resolve().parent.parent
 CLASSES = ("code", "docstring", "comment", "blank")
@@ -57,18 +62,36 @@ def count(source):
     return counts
 
 
+def committed_sources(commit):
+    """{module: source} of the ``src/oscquad`` of ``commit``, from ``git archive``."""
+    archive = subprocess.run(["git", "archive", commit, "src/oscquad"], cwd=ROOT,
+                             capture_output=True)
+    if archive.returncode:
+        raise SystemExit(archive.stderr.decode(errors="replace").strip())
+    with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
+        paths = {PurePosixPath(member.name): member for member in tar.getmembers()}
+        return {path.stem: tar.extractfile(member).read().decode("utf-8")
+                for path, member in paths.items()
+                if path.parent == PurePosixPath("src/oscquad") and path.suffix == ".py"}
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--root", type=Path, default=ROOT,
-                        help="checkout whose src/oscquad is counted (default: this one)")
+    parser.add_argument("--parent", help="commit whose code lines each row is compared with")
     args = parser.parse_args(argv)
-    rows = [(path.stem, count(path.read_text(encoding="utf-8")))
-            for path in sorted((args.root / "src" / "oscquad").glob("*.py"))]
-    total = {name: sum(counts[name] for _, counts in rows) for name in CLASSES}
-    print(f"{'module':<12}{'lines':>7}" + "".join(f"{name:>11}" for name in CLASSES))
-    for module, counts in rows + [("total", total)]:
+    sources = {path.stem: path.read_text(encoding="utf-8")
+               for path in (ROOT / "src" / "oscquad").glob("*.py")}
+    before = committed_sources(args.parent) if args.parent else {}
+    rows = [(module, count(sources.get(module, "")), count(before.get(module, "")))
+            for module in sorted(sources.keys() | before.keys())]
+    total = tuple({name: sum(row[side][name] for row in rows) for name in CLASSES}
+                  for side in (1, 2))
+    print(f"{'module':<12}{'lines':>7}" + "".join(f"{name:>11}" for name in CLASSES)
+          + (f"{'parent code':>13}{'change':>8}" if args.parent else ""))
+    for module, counts, old in rows + [("total", *total)]:
         print(f"{module:<12}{sum(counts.values()):>7}"
-              + "".join(f"{counts[name]:>11}" for name in CLASSES))
+              + "".join(f"{counts[name]:>11}" for name in CLASSES)
+              + (f"{old['code']:>13}{counts['code'] - old['code']:>+8}" if args.parent else ""))
 
 
 if __name__ == "__main__":
