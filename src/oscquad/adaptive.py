@@ -20,9 +20,11 @@ and judges each trio, once.  A pop takes the whole panel's value and the
 decision from the table (``panel_trio`` on the Levin route), so the
 driver applies only the rails and the sum.  Each trio keeps the value
 bits of a pass of its own.  The table never holds more solved trios than
-the run has popped, so memory is bounded by the run's pops, not by the
-subdivision depth; the samples of a pass count in ``fevals`` when taken,
-so a run that stops counts those of trios solved but never popped.
+the run has popped plus its largest pass, so a balanced tree of up to
+three levels takes one pass per level, and memory is bounded by the
+run's pops, not by the subdivision depth; the samples of a pass count in
+``fevals`` when taken, so a run that stops counts those of trios solved
+but never popped.
 
 Safety rails absent from the basic scheme, both fixed and reported
 through ``QuadResult.status``: a budget of MAX_INTERVALS processed
@@ -191,7 +193,10 @@ class _SolveAhead:
     one) when both pass the width floor of [a, b].  ``solved`` maps an
     interval to (v0, accepted), the whole panel's value and the
     whole-vs-halves decision on its trio, or to (None, False) if one of its
-    three panels is a PanelError.  A pass solves ``per_pass`` trios at most.
+    three panels is a PanelError.  A pass solves ``per_pass`` trios at most,
+    and ``largest`` is the most trios a pass of the run has solved.  The
+    table never holds more solved trios than the run has popped plus its
+    largest pass.
     """
 
     def __init__(self, solve, a: float, b: float, eps: float, per_pass: int):
@@ -202,6 +207,7 @@ class _SolveAhead:
         self.pending: list[tuple[float, float]] = []
         self.solved: dict = {}
         self.popped = 0
+        self.largest = 0
 
     def trio(self, a0, c0, b0):
         """(v0 or None, accepted, nevals) of [a0, b0], which the driver pops
@@ -210,8 +216,10 @@ class _SolveAhead:
         An unsolved [a0, b0] (a miss) is the leftmost interval the driver
         holds, so it is ``pending[-1]`` if pending at all.  A miss makes one
         pass of ``solve`` over the leftmost pending intervals, [a0, b0]
-        among them, as many as leave the table no more trios than the run
-        has popped; the pass queues the halves of the trios it rejects.
+        among them, as many as leave the table no more solved trios than
+        the run has popped plus its largest pass; the pass queues the
+        halves of the trios it rejects.  A stopped run so holds at most
+        popped + largest - 1 trios it never pops.
         """
         self.popped += 1
         pending, solved = self.pending, self.solved
@@ -220,7 +228,8 @@ class _SolveAhead:
             return (*out, 0)
         if not (pending and pending[-1] == (a0, b0)):
             pending.append((a0, b0))
-        n = min(self.popped - len(solved), len(pending), self.per_pass)
+        n = min(self.popped - len(solved) + self.largest, len(pending), self.per_pass)
+        self.largest = max(self.largest, n)
         batch = pending[-n:]
         del pending[-n:]
         values, nevals = self.solve(batch)

@@ -12,7 +12,7 @@ from oscquad import (AdaptiveConfig, Integrand, PanelError, adaptive, adaptive_g
                      adaptive_integrate, chebyshev, linalg, oracle)
 from oscquad.adaptive import QuadResult, accepted_pair_update
 from oscquad.levin import panel_values
-from oscquad.reference import integrand_for, oracle_integrand
+from oscquad.reference import evaluate_levin, integrand_for, oracle_integrand
 from helpers import panel_bits, record_passes
 
 
@@ -397,6 +397,10 @@ _STOPPED_RUNS = [
      True),
     ("nan-spot", Integrand(f=_nan_spot, g=lambda x: 10.0 * x), "panel_failure", False),
     ("inv-sqrt", Integrand(f=_inv_sqrt, g=lambda x: 100.0 * x), "width_floor", False),
+    # a deep run whose frontier is wide: solving every pending interval a
+    # pass would break the waste bound
+    ("inv-sqrt-beside-stationary-points",
+     Integrand(f=_inv_sqrt, g=lambda x: 1e3 * np.cos(10 * np.pi * x) ** 2), "width_floor", False),
 ]
 
 
@@ -467,7 +471,8 @@ def test_solve_ahead_keeps_every_bit_of_a_stopped_run(monkeypatch, name, integra
     passes = _largest_pass(monkeypatch)
     old, new, (factored_old, factored_new) = _same_run(monkeypatch, integrand, 0.0, 1.0)
     assert new.status == status
-    # the table never holds more trios than the run has popped
+    # the table never holds more solved trios than the run has popped plus
+    # its largest pass
     assert factored_new <= 2 * factored_old + max(passes)
     if same_cost:
         assert (factored_new, new.fevals) == (factored_old, old.fevals)
@@ -515,7 +520,7 @@ def _record_misses(monkeypatch, module):
     return misses, passes
 
 
-@pytest.mark.parametrize("route, lam, count", [("levin", 1e5, 58), ("gauss", 1e3, 59)])
+@pytest.mark.parametrize("route, lam, count", [("levin", 1e5, 51), ("gauss", 1e3, 56)])
 def test_each_miss_makes_one_pass_that_holds_it(monkeypatch, route, lam, count):
     # the table solves ahead only in the pass of a miss, and that pass
     # holds the popped interval, so there are as many passes as misses
@@ -529,6 +534,16 @@ def test_each_miss_makes_one_pass_that_holds_it(monkeypatch, route, lam, count):
     assert res.status == "converged"
     assert all(miss in intervals for miss, intervals in passes)
     assert len(passes) == len(misses) == count
+
+
+def test_a_balanced_run_takes_one_pass_per_level(monkeypatch):
+    # I1 at lambda = 1e3 splits every interval of its first two levels; a
+    # pass may solve as many trios as the run has popped plus its largest
+    # pass, so each of its three levels is one pass (spans, three a trio)
+    passes = _largest_pass(monkeypatch)
+    res = evaluate_levin("I1", {"lambda": 1e3})
+    assert res.status == "converged"
+    assert passes == [3, 6, 12]
 
 
 @pytest.mark.parametrize("solver", ["qr", "svd"])

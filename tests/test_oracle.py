@@ -288,7 +288,8 @@ def _same_run(monkeypatch, fn, a, b):
 
 
 def _bounded_waste(old, new, sampled):
-    # the table never holds more trios than the run has popped
+    # the table never holds more solved trios than the run has popped plus
+    # its largest pass
     assert new.fevals <= 2 * old.fevals + max(sampled[1])
 
 

@@ -112,6 +112,10 @@ CLI_RUNS = [
     # Runs that stop: at the width floor (an endpoint singularity under a
     # phase that oscillates) and at a panel failure (invalid right of 0.3).
     ["integrate", "--f", "1/sqrt(x)", "--g", "100*x", "--a", "0", "--b", "1", "--no-timing"],
+    # The same singularity beside 21 stationary points: a deep run whose
+    # frontier is wide, so its fevals show what a pass plan wastes.
+    ["integrate", "--f", "1/sqrt(x)", "--g", "1000*cos(10*pi*x)^2", "--a", "0", "--b", "1",
+     "--no-timing"],
     ["integrate", "--f", "sqrt(0.3-x)", "--g", "x", "--a", "0", "--b", "1", "--no-timing"],
     # A failed interval whose rounded left half is below the width floor
     # while its computed half-width is not: 'panel_failure' on both solvers.
